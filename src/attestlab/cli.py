@@ -326,7 +326,9 @@ def cmd_handshake(args, cfg: ExperimentConfig) -> int:
 
 def cmd_eval(args, cfg: ExperimentConfig) -> int:
     out = _outdir(args, "eval")
-    res = evalkit.run_experiment(cfg)
+    bundles = [evalkit.prepare_firmware(cfg, i)
+               for i in range(cfg.firmware_count)]
+    res = evalkit.run_experiment(cfg, bundles)
     report = evalkit.format_experiment_report(res)
     path = out / "report.txt"
     path.write_text(report, encoding="utf-8")
@@ -335,7 +337,7 @@ def cmd_eval(args, cfg: ExperimentConfig) -> int:
           % (res.macro["tnr"], res.macro["tpr"], res.macro["f1_unsafe"],
              res.macro["auc"]))
     if args.with_twin:
-        tw = evalkit.twin_transfer(cfg)
+        tw = evalkit.twin_transfer(cfg, bundles[0])
         tw_path = out / "twin.txt"
         tw_path.write_text(evalkit.format_twin_report(tw), encoding="utf-8")
         print("eval twin: tnr=%.4f tpr=%.4f -> %s"

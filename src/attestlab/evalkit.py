@@ -293,17 +293,22 @@ class TwinResult:
     n_twin_unsafe: int
 
 
-def twin_transfer(cfg: ExperimentConfig) -> TwinResult:
+def twin_transfer(cfg: ExperimentConfig,
+                  bundle: FirmwareBundle | None = None) -> TwinResult:
     """Train on one device, attest its twin.
 
     Twins share the firmware's data-section behaviour, so a model
     trained on device A should keep its false-alarm rate on device B
     while still flagging mutated or foreign firmware running on B.
+    `bundle` is firmware 0's pipeline, prepared here when not given.
     """
     if cfg.twin_eval_traces < cfg.traces_per_mutant:
         raise ValueError("twin_eval_traces must be >= traces_per_mutant; "
                          "mutant positives reuse the twin step sample")
-    bundle = prepare_firmware(cfg, 0)
+    if bundle is None:
+        bundle = prepare_firmware(cfg, 0)
+    elif bundle.firmware_seed != derive_seed(cfg.seed, "firmware", 0):
+        raise ValueError("twin_transfer needs firmware 0's bundle")
     fw_seed = bundle.firmware_seed
     twin_seed = derive_seed(fw_seed, "device", 1)
     steps = np.sort(bundle.spare_steps(cfg.twin_eval_traces))

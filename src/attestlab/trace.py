@@ -11,6 +11,8 @@ so the downstream detector sees values in [0, 1].
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -25,6 +27,9 @@ MUTATION_KINDS = ("tamper_data", "tamper_function", "tamper_control_flow",
 LABELS = ("safe", "unsafe")
 
 PROFILE_FORMAT_VERSION = 1
+
+# shortest memoized random-walk path; longer ones round up to a power of two
+_MIN_WALK_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -263,9 +268,37 @@ def mutate_profile(base: FirmwareProfile, kind: str, severity: float,
                    mutation=mutation)
 
 
+@functools.lru_cache(maxsize=64)
+def _walk_path(firmware_seed: int, init_seed: int, width: int,
+               length: int) -> np.ndarray:
+    """(length + 1, width) read-only uint8 path of one random walk.
+
+    Each column starts at the variable's base value and takes +-1 steps,
+    clamped to [0, 255]. Steps are drawn in one batch, so the first k rows
+    are the same for every length >= k.
+    """
+    base = rng(firmware_seed, "var", init_seed).integers(
+        0, 256, size=width, dtype=np.int64)
+    steps = rng(firmware_seed, "walk", init_seed).choice(
+        np.array([-1, 1], dtype=np.int64), size=(length, width))
+    cols = [list(itertools.accumulate(
+        col.tolist(), lambda c, d: min(255, max(0, c + d)), initial=int(b)))
+        for b, col in zip(base, steps.T)]
+    path = np.array(cols, dtype=np.uint8).T
+    path.flags.writeable = False
+    return path
+
+
 def _variable_values(profile: FirmwareProfile, var: Variable,
                      time_steps: np.ndarray) -> np.ndarray:
     """(T, width) uint8 values of one variable at the requested steps."""
+    if var.kind == "random_walk":
+        # round the length up so every batch of steps, and every profile
+        # sharing the variable, reuses one memoized path
+        max_t = int(time_steps.max(initial=0))
+        length = max(_MIN_WALK_STEPS, 1 << (max_t - 1).bit_length())
+        return _walk_path(profile.firmware_seed, var.init_seed, var.width,
+                          length)[time_steps]
     g = rng(profile.firmware_seed, "var", var.init_seed)
     base = g.integers(0, 256, size=var.width, dtype=np.int64)
     t = time_steps[:, None]
@@ -279,18 +312,6 @@ def _variable_values(profile: FirmwareProfile, var: Variable,
         phase = int(g.integers(period))
         on = ((time_steps + phase) % period) < period // 2
         vals = np.where(on[:, None], base ^ 0x01, base)
-    elif var.kind == "random_walk":
-        max_t = int(time_steps.max(initial=0))
-        wg = rng(profile.firmware_seed, "walk", var.init_seed)
-        steps = wg.choice(np.array([-1, 1], dtype=np.int64),
-                          size=(max_t, var.width))
-        path = np.empty((max_t + 1, var.width), dtype=np.int64)
-        path[0] = base
-        cur = base.copy()
-        for i in range(max_t):
-            cur = np.clip(cur + steps[i], 0, 255)
-            path[i + 1] = cur
-        vals = path[time_steps]
     else:
         raise ValueError("unknown variable kind: %r" % var.kind)
     return vals.astype(np.uint8)

@@ -359,6 +359,17 @@ def test_twin_transfer_embeds_config_identity(twin_result, tiny_cfg):
     assert twin_result.calibration.t_opt > 0.0
 
 
+def test_twin_transfer_reuses_prepared_bundle(twin_result, tiny_cfg, bundle):
+    reused = evalkit.twin_transfer(tiny_cfg, bundle)
+    assert evalkit.format_twin_report(reused) \
+        == evalkit.format_twin_report(twin_result)
+
+
+def test_twin_transfer_rejects_other_firmware_bundle(tiny_cfg, two_bundles):
+    with pytest.raises(ValueError, match="firmware 0"):
+        evalkit.twin_transfer(tiny_cfg, two_bundles[1])
+
+
 def test_twin_transfer_rejects_short_eval_window():
     cfg = tiny_config(twin_eval_traces=6)
     with pytest.raises(ValueError, match="twin_eval_traces"):

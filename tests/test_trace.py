@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attestlab import trace
+from attestlab.seeds import rng
 from attestlab.trace import LayoutSpec
 
 SPEC = LayoutSpec(data_section_len=256, n_variables=12)
@@ -213,6 +214,90 @@ def test_random_walk_steps_are_clipped_unit_moves():
         at_edge = (path[:-1] == 0) | (path[:-1] == 255)
         assert np.all(~stay | at_edge)
         assert path.min() >= 0 and path.max() <= 255
+
+
+def _clip_loop_walk(firmware_seed, init_seed, width, max_t):
+    """Oracle: the per-step np.clip builder the memoized walk replaced."""
+    base = rng(firmware_seed, "var", init_seed).integers(
+        0, 256, size=width, dtype=np.int64)
+    steps = rng(firmware_seed, "walk", init_seed).choice(
+        np.array([-1, 1], dtype=np.int64), size=(max_t, width))
+    path = np.empty((max_t + 1, width), dtype=np.int64)
+    path[0] = base
+    cur = base.copy()
+    for i in range(max_t):
+        cur = np.clip(cur + steps[i], 0, 255)
+        path[i + 1] = cur
+    return path
+
+
+def _walk_seed(firmware_seed, width, near, max_t):
+    """First init_seed whose walk starts within 16 of near in every byte
+    and is clamped there within max_t steps."""
+    for init_seed in range(100_000):
+        base = rng(firmware_seed, "var", init_seed).integers(
+            0, 256, size=width, dtype=np.int64)
+        if np.all(np.abs(base - near) <= 16):
+            path = _clip_loop_walk(firmware_seed, init_seed, width, max_t)
+            if np.all((path == near).any(axis=0)):
+                return init_seed
+    raise AssertionError("no seed found")
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("near", [0, 255])
+def test_random_walk_matches_clip_loop_oracle(width, near):
+    fw_seed = 11
+    init_seed = _walk_seed(fw_seed, width, near, 5000)
+    var = trace.Variable(offset=0, width=width, kind="random_walk",
+                         init_seed=init_seed)
+    prof = trace.FirmwareProfile(
+        firmware_id="walk", firmware_seed=fw_seed, data_section_len=4,
+        variables=(var,), stack=trace.StackPattern((8,), 0.5))
+    for max_t in (0, 1, 4095, 4096, 5000):
+        steps = np.arange(max_t + 1)
+        got = trace._variable_values(prof, var, steps)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, _clip_loop_walk(fw_seed, init_seed,
+                                                   width, max_t))
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 4095, 4096])
+def test_walk_step_draw_prefix_property(k):
+    # a longer draw starts with the shorter one, so one memoized path
+    # serves every requested length up to its own
+    def draw(n):
+        return rng(3, "walk", 5).choice(np.array([-1, 1], dtype=np.int64),
+                                        size=(n, 2))
+    assert np.array_equal(draw(8192)[:k], draw(k))
+
+
+def test_walk_path_is_read_only():
+    path = trace._walk_path(3, 5, 2, 4096)
+    assert path.shape == (4097, 2) and path.dtype == np.uint8
+    with pytest.raises(ValueError):
+        path[0, 0] = 0
+
+
+def test_sample_traces_independent_of_batching_and_memo():
+    prof = _profile()
+    assert any(v.kind == "random_walk" for v in prof.variables)
+    mutant = trace.mutate_profile(prof, "tamper_function", 1.0, 4)
+
+    def sample(p, steps):
+        return b"".join(t.data.tobytes()
+                        for t in trace.sample_traces(p, 9, steps))
+
+    for p in (prof, mutant):
+        trace._walk_path.cache_clear()
+        cold = sample(p, range(6000))
+        assert trace._walk_path.cache_info().currsize > 0
+        assert sample(p, range(6000)) == cold
+        # the second batch crosses the shortest path length (4096 steps)
+        split = sample(p, range(3000)) + sample(p, range(3000, 6000))
+        assert split == cold
+        trace._walk_path.cache_clear()
+        assert sample(p, range(3000)) + sample(p, range(3000, 6000)) == cold
 
 
 def test_negative_time_step_rejected():
