@@ -42,7 +42,22 @@ def _act_grad(name: str, z: np.ndarray) -> np.ndarray:
     raise ValueError("unknown activation: %r" % name)
 
 
+def im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """Zero same-padded width-k windows of (n, length[, c]) input, as
+    (n, length, k * c) rows; 2-D input is read as one channel."""
+    if x.ndim == 2:
+        x = x[:, :, None]
+    pad = (k - 1) // 2
+    n, length, c = x.shape
+    xp = np.zeros((n, length + 2 * pad, c), dtype=x.dtype)
+    xp[:, pad:pad + length, :] = x
+    cols = np.stack([xp[:, i:i + length, :] for i in range(k)], axis=2)
+    return cols.reshape(n, length, k * c)
+
+
 class DenseLayer:
+    """Affine map over the last axis, then the activation."""
+
     kind = "dense"
 
     def __init__(self, w: np.ndarray, b: np.ndarray, activation: str):
@@ -51,63 +66,46 @@ class DenseLayer:
         self.activation = activation
 
     def forward(self, x):
-        z = x @ self.w + self.b
+        z = x @ self.w.reshape(-1, self.w.shape[-1]) + self.b
         return _act(self.activation, z), (x, z)
 
     def backward(self, dout, cache):
         x, z = cache
         dz = dout * _act_grad(self.activation, z)
-        return dz @ self.w.T, {"w": x.T @ dz, "b": dz.sum(axis=0)}
+        w = self.w.reshape(-1, self.w.shape[-1])
+        x_rows, dz_rows = x.reshape(-1, w.shape[0]), dz.reshape(-1, w.shape[1])
+        return dz @ w.T, {"w": (x_rows.T @ dz_rows).reshape(self.w.shape),
+                          "b": dz_rows.sum(axis=0)}
 
     def params(self):
         return {"w": self.w, "b": self.b}
 
 
-class Conv1dLayer:
-    """1-D convolution, stride 1, zero same-padding, odd filter width."""
+class Conv1dLayer(DenseLayer):
+    """1-D convolution, stride 1, zero same-padding, odd filter width: the
+    dense map of its (k, c_in, c_out) weights on im2col windows."""
 
     kind = "conv"
 
     def __init__(self, w: np.ndarray, b: np.ndarray, activation: str):
-        self.w = np.asarray(w, dtype=np.float64)  # (k, c_in, c_out)
-        self.b = np.asarray(b, dtype=np.float64)  # (c_out,)
-        self.activation = activation
+        super().__init__(w, b, activation)
         if self.w.shape[0] % 2 == 0:
             raise ValueError("filter width must be odd for same padding")
 
-    def _cols(self, x):
-        k = self.w.shape[0]
-        pad = (k - 1) // 2
-        n, length, c_in = x.shape
-        xp = np.zeros((n, length + 2 * pad, c_in), dtype=x.dtype)
-        xp[:, pad:pad + length, :] = x
-        cols = np.stack([xp[:, i:i + length, :] for i in range(k)], axis=2)
-        return cols.reshape(n, length, k * c_in)
-
     def forward(self, x):
-        k, c_in, c_out = self.w.shape
-        cols = self._cols(x)
-        z = cols @ self.w.reshape(k * c_in, c_out) + self.b
-        return _act(self.activation, z), (x.shape, cols, z)
+        return super().forward(im2col(x, self.w.shape[0]))
 
     def backward(self, dout, cache):
-        x_shape, cols, z = cache
-        k, c_in, c_out = self.w.shape
-        n, length, _ = x_shape
+        dcols, grads = super().backward(dout, cache)
+        k = self.w.shape[0]
         pad = (k - 1) // 2
-        dz = dout * _act_grad(self.activation, z)
-        flat = dz.reshape(-1, c_out)
-        gw = (cols.reshape(-1, k * c_in).T @ flat).reshape(k, c_in, c_out)
-        gb = flat.sum(axis=0)
-        dcols = (dz @ self.w.reshape(k * c_in, c_out).T) \
-            .reshape(n, length, k, c_in)
-        dxp = np.zeros((n, length + 2 * pad, c_in), dtype=dz.dtype)
+        n, length, _ = dcols.shape
+        dcols = dcols.reshape(n, length, k, -1)
+        dxp = np.zeros((n, length + 2 * pad, dcols.shape[3]),
+                       dtype=dcols.dtype)
         for i in range(k):
             dxp[:, i:i + length, :] += dcols[:, :, i, :]
-        return dxp[:, pad:pad + length, :], {"w": gw, "b": gb}
-
-    def params(self):
-        return {"w": self.w, "b": self.b}
+        return dxp[:, pad:pad + length, :], grads
 
 
 class MaxPool1dLayer:
@@ -121,18 +119,17 @@ class MaxPool1dLayer:
         if length % self.width != 0:
             raise ValueError("pool input length %d not divisible by %d"
                              % (length, self.width))
-        view = x.reshape(n, length // self.width, self.width, c)
-        idx = view.argmax(axis=2)
-        return view.max(axis=2), (x.shape, idx)
+        return x.reshape(n, length // self.width, self.width, c) \
+            .max(axis=2), (x,)
 
     def backward(self, dout, cache):
-        x_shape, idx = cache
-        n, length, c = x_shape
-        dview = np.zeros((n, length // self.width, self.width, c),
-                         dtype=dout.dtype)
+        x, = cache
+        n, length, c = x.shape
+        view = x.reshape(n, length // self.width, self.width, c)
+        dview = np.zeros(view.shape, dtype=dout.dtype)
         grid = np.ogrid[:n, :length // self.width, :c]
-        dview[grid[0], grid[1], idx, grid[2]] = dout
-        return dview.reshape(x_shape), {}
+        dview[grid[0], grid[1], view.argmax(axis=2), grid[2]] = dout
+        return dview.reshape(x.shape), {}
 
     def params(self):
         return {}
@@ -231,8 +228,6 @@ def _forward(model: AutoencoderModel, x: np.ndarray, train_mode: bool,
              dropout_rng: np.random.Generator | None):
     """Returns (output, caches, dropout_mask)."""
     h = x
-    if model.layers and model.layers[0].kind == "conv":
-        h = h[:, :, None]
     caches = []
     mask = None
     for i, layer in enumerate(model.layers):

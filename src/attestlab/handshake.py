@@ -68,7 +68,6 @@ class SessionState:
     nonces: dict = field(default_factory=dict)
     peer_verdict: int | None = None
     fail_reason: str | None = None
-    log: list = field(default_factory=list)
 
 
 class Device:
@@ -172,7 +171,6 @@ def initiator_start(device: Device, peer_id: bytes,
     state.nonces["n1"] = n1
     msg = _seal(device, state, device.id + n1 + report)
     state.phase = SENT1
-    state.log.append(("out", 1, msg))
     return state, msg
 
 
@@ -204,7 +202,6 @@ def step(device: Device, state: SessionState, msg: HandshakeMessage):
     """Advance one protocol step. Returns (state, outbound-or-None)."""
     if state.phase in (DONE, FAILED):
         raise ValueError("step() called on a terminal session")
-    state.log.append(("in", None, msg))
 
     if state.role == "responder" and state.phase == START:
         plain, reason = _open(device, state, msg, _PLAIN_LEN[1])
@@ -220,7 +217,6 @@ def step(device: Device, state: SessionState, msg: HandshakeMessage):
         state.nonces.update(n1=n1, n2=n2)
         out = _seal(device, state, device.id + n1 + n2 + own_report)
         state.phase = SENT2
-        state.log.append(("out", 2, out))
         return state, out
 
     if state.role == "initiator" and state.phase == SENT1:
@@ -241,7 +237,6 @@ def step(device: Device, state: SessionState, msg: HandshakeMessage):
         state.nonces.update(n2=n2, n3=n3)
         out = _seal(device, state, device.id + n2 + n3)
         state.phase = SENT3
-        state.log.append(("out", 3, out))
         return state, out
 
     if state.role == "responder" and state.phase == SENT2:
@@ -257,7 +252,6 @@ def step(device: Device, state: SessionState, msg: HandshakeMessage):
         state.nonces.update(n3=n3, n4=n4)
         out = _seal(device, state, device.id + n3 + n4)
         state.phase = SENT4
-        state.log.append(("out", 4, out))
         return state, out
 
     if state.role == "initiator" and state.phase == SENT3:

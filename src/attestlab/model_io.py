@@ -8,15 +8,27 @@ Layout (all little-endian):
 Section tags: 1 = float model, 2 = quantized model, 3 = calibration record
 (UTF-8 key=value lines), 4 = run metadata (UTF-8 key=value lines).
 
-Float payload: arch, input_dim, dropout, optional training metadata, then
-per-layer dims and row-major float32 weight/bias blobs. Quantized payload:
-int8 weights, float32 scales, int32 biases, per-boundary activation scale and
-zero-point, and the sha256 digest of the source float payload. Quantized
-tensors and scales round-trip bit-identically.
+Float payload: arch, input_dim, dropout, optional training metadata, u16
+layer count, layer records. Quantized payload: arch, input_dim, sha256 of
+the source float payload, input scale and zero-point, u16 layer count, layer
+records. Both payloads share one layer record:
+
+    u8 kind (1 dense, 2 conv, 3 pool, 4 flatten), then
+      pool:         u32 width
+      dense, conv:  u8 activation (0 linear, 1 relu) | u32 x w.ndim shape,
+                    (in, out) or (k, c_in, c_out) | parameter blobs
+    float blobs:    f32 w, row-major | f32 b
+    quant blobs:    i8 w, row-major | f32 w_scale | i32 b | f32 b_scale |
+                    f32 output scale | i8 output zero-point
+
+Quantized tensors and scales round-trip bit-identically. A container holding
+both models must have a quantized model whose source digest is the sha256 of
+its float section.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import struct
 from dataclasses import dataclass
@@ -25,8 +37,7 @@ import numpy as np
 
 from .autoenc import (AutoencoderModel, Conv1dLayer, DenseLayer, FlattenLayer,
                       MaxPool1dLayer, TrainMeta)
-from .quantize import (ActivationQuant, QConv, QDense, QFlatten, QPool,
-                       QuantizedModel)
+from .quantize import ActivationQuant, QLayer, QuantizedModel, _f32
 from .threshold import CalibrationResult
 
 MAGIC = b"LAM1"
@@ -40,6 +51,7 @@ SEC_META = 4
 _ARCH_CODE = {"M1": 1, "M2": 2, "M3": 3}
 _ARCH_NAME = {v: k for k, v in _ARCH_CODE.items()}
 _KIND_CODE = {"dense": 1, "conv": 2, "pool": 3, "flatten": 4}
+_KIND_NAME = {v: k for k, v in _KIND_CODE.items()}
 _ACT_CODE = {"linear": 0, "relu": 1}
 _ACT_NAME = {v: k for k, v in _ACT_CODE.items()}
 
@@ -77,6 +89,54 @@ class _Reader:
         return np.frombuffer(raw, dtype=dtype).copy()
 
 
+def _name(table: dict, code: int, what: str) -> str:
+    if code not in table:
+        raise ContainerError("unknown %s code %d" % (what, code))
+    return table[code]
+
+
+def _write_layer(out: io.BytesIO, layer) -> None:
+    out.write(_pack("B", _KIND_CODE[layer.kind]))
+    if isinstance(layer, MaxPool1dLayer):
+        out.write(_pack("I", layer.width))
+    elif isinstance(layer, QLayer):
+        out.write(_pack("B" + "I" * layer.wq.ndim,
+                        _ACT_CODE[layer.activation], *layer.wq.shape))
+        out.write(np.ascontiguousarray(layer.wq, dtype=np.int8).tobytes())
+        out.write(_pack("f", layer.w_scale))
+        out.write(np.ascontiguousarray(layer.bq, dtype="<i4").tobytes())
+        out.write(_pack("ffb", layer.b_scale, layer.out_q.scale,
+                        layer.out_q.zero_point))
+    elif layer.params():
+        out.write(_pack("B" + "I" * layer.w.ndim,
+                        _ACT_CODE[layer.activation], *layer.w.shape))
+        out.write(np.ascontiguousarray(layer.w, dtype="<f4").tobytes())
+        out.write(np.ascontiguousarray(layer.b, dtype="<f4").tobytes())
+
+
+def _read_layer(r: _Reader, quant: bool):
+    kind = _name(_KIND_NAME, r.take("B"), "layer kind")
+    if kind == "pool":
+        return MaxPool1dLayer(r.take("I"))
+    if kind == "flatten":
+        return FlattenLayer()
+    act = _name(_ACT_NAME, r.take("B"), "activation")
+    shape = r.take("III" if kind == "conv" else "II")
+    n_w, n_out = int(np.prod(shape)), shape[-1]
+    if quant:
+        wq = r.array(np.int8, n_w).reshape(shape)
+        w_scale = _f32(r.take("f"))
+        bq = r.array("<i4", n_out)
+        b_scale, o_scale, o_zp = r.take("ffb")
+        return QLayer(wq=wq, w_scale=w_scale, bq=bq, b_scale=_f32(b_scale),
+                      activation=act,
+                      out_q=ActivationQuant(scale=_f32(o_scale),
+                                            zero_point=int(o_zp)))
+    w = r.array("<f4", n_w).astype(np.float64).reshape(shape)
+    b = r.array("<f4", n_out).astype(np.float64)
+    return (Conv1dLayer if kind == "conv" else DenseLayer)(w, b, act)
+
+
 def float_payload(model: AutoencoderModel) -> bytes:
     out = io.BytesIO()
     out.write(_pack("BIfb", _ARCH_CODE[model.arch], model.input_dim,
@@ -88,65 +148,22 @@ def float_payload(model: AutoencoderModel) -> bytes:
                         meta.learning_rate, meta.seed, meta.final_train_mse))
     out.write(_pack("H", len(model.layers)))
     for layer in model.layers:
-        if layer.kind == "dense":
-            out.write(_pack("BB", _KIND_CODE["dense"],
-                            _ACT_CODE[layer.activation]))
-            n_in, n_out = layer.w.shape
-            out.write(_pack("II", n_in, n_out))
-            out.write(np.ascontiguousarray(layer.w, dtype="<f4").tobytes())
-            out.write(np.ascontiguousarray(layer.b, dtype="<f4").tobytes())
-        elif layer.kind == "conv":
-            out.write(_pack("BB", _KIND_CODE["conv"],
-                            _ACT_CODE[layer.activation]))
-            k, c_in, c_out = layer.w.shape
-            out.write(_pack("III", k, c_in, c_out))
-            out.write(np.ascontiguousarray(layer.w, dtype="<f4").tobytes())
-            out.write(np.ascontiguousarray(layer.b, dtype="<f4").tobytes())
-        elif layer.kind == "pool":
-            out.write(_pack("B", _KIND_CODE["pool"]))
-            out.write(_pack("I", layer.width))
-        elif layer.kind == "flatten":
-            out.write(_pack("B", _KIND_CODE["flatten"]))
-        else:
-            raise ContainerError("unsupported layer kind %r" % layer.kind)
+        _write_layer(out, layer)
     return out.getvalue()
 
 
 def parse_float_payload(buf: bytes) -> AutoencoderModel:
     r = _Reader(buf)
     arch_code, input_dim, dropout, drop_after = r.take("BIfb")
-    if arch_code not in _ARCH_NAME:
-        raise ContainerError("unknown architecture code %d" % arch_code)
+    arch = _name(_ARCH_NAME, arch_code, "architecture")
     meta = None
     if r.take("B"):
         epochs, batch, lr, seed, final_mse = r.take("IIfQd")
         meta = TrainMeta(epochs=epochs, batch_size=batch,
                          learning_rate=float(lr), seed=seed,
                          final_train_mse=float(final_mse))
-    layers = []
-    for _ in range(r.take("H")):
-        kind = r.take("B")
-        if kind == _KIND_CODE["dense"]:
-            act = _ACT_NAME[r.take("B")]
-            n_in, n_out = r.take("II")
-            w = r.array("<f4", n_in * n_out).astype(np.float64) \
-                .reshape(n_in, n_out)
-            b = r.array("<f4", n_out).astype(np.float64)
-            layers.append(DenseLayer(w, b, act))
-        elif kind == _KIND_CODE["conv"]:
-            act = _ACT_NAME[r.take("B")]
-            k, c_in, c_out = r.take("III")
-            w = r.array("<f4", k * c_in * c_out).astype(np.float64) \
-                .reshape(k, c_in, c_out)
-            b = r.array("<f4", c_out).astype(np.float64)
-            layers.append(Conv1dLayer(w, b, act))
-        elif kind == _KIND_CODE["pool"]:
-            layers.append(MaxPool1dLayer(r.take("I")))
-        elif kind == _KIND_CODE["flatten"]:
-            layers.append(FlattenLayer())
-        else:
-            raise ContainerError("unknown layer kind code %d" % kind)
-    return AutoencoderModel(arch=_ARCH_NAME[arch_code], input_dim=input_dim,
+    layers = [_read_layer(r, quant=False) for _ in range(r.take("H"))]
+    return AutoencoderModel(arch=arch, input_dim=input_dim,
                             layers=layers, dropout_rate=float(dropout),
                             dropout_after=drop_after, train_meta=meta)
 
@@ -160,27 +177,7 @@ def quant_payload(qmodel: QuantizedModel) -> bytes:
     out.write(_pack("fb", qmodel.input_q.scale, qmodel.input_q.zero_point))
     out.write(_pack("H", len(qmodel.layers)))
     for layer in qmodel.layers:
-        if layer.kind in ("dense", "conv"):
-            out.write(_pack("BB", _KIND_CODE[layer.kind],
-                            _ACT_CODE[layer.activation]))
-            if layer.kind == "dense":
-                n_in, n_out = layer.wq.shape
-                out.write(_pack("II", n_in, n_out))
-            else:
-                k, c_in, c_out = layer.wq.shape
-                out.write(_pack("III", k, c_in, c_out))
-            out.write(np.ascontiguousarray(layer.wq, dtype=np.int8).tobytes())
-            out.write(_pack("f", layer.w_scale))
-            out.write(np.ascontiguousarray(layer.bq, dtype="<i4").tobytes())
-            out.write(_pack("f", layer.b_scale))
-            out.write(_pack("fb", layer.out_q.scale, layer.out_q.zero_point))
-        elif layer.kind == "pool":
-            out.write(_pack("B", _KIND_CODE["pool"]))
-            out.write(_pack("I", layer.width))
-        elif layer.kind == "flatten":
-            out.write(_pack("B", _KIND_CODE["flatten"]))
-        else:
-            raise ContainerError("unsupported layer kind %r" % layer.kind)
+        _write_layer(out, layer)
     return out.getvalue()
 
 
@@ -189,37 +186,10 @@ def parse_quant_payload(buf: bytes) -> QuantizedModel:
     arch_code, input_dim = r.take("BI")
     digest = r.blob(32)
     in_scale, in_zp = r.take("fb")
-    input_q = ActivationQuant(scale=float(np.float32(in_scale)),
-                              zero_point=int(in_zp))
-    layers = []
-    for _ in range(r.take("H")):
-        kind = r.take("B")
-        if kind in (_KIND_CODE["dense"], _KIND_CODE["conv"]):
-            act = _ACT_NAME[r.take("B")]
-            if kind == _KIND_CODE["dense"]:
-                n_in, n_out = r.take("II")
-                wq = r.array(np.int8, n_in * n_out).reshape(n_in, n_out)
-                nb = n_out
-            else:
-                k, c_in, c_out = r.take("III")
-                wq = r.array(np.int8, k * c_in * c_out).reshape(k, c_in, c_out)
-                nb = c_out
-            w_scale = float(np.float32(r.take("f")))
-            bq = r.array("<i4", nb)
-            b_scale = float(np.float32(r.take("f")))
-            o_scale, o_zp = r.take("fb")
-            out_q = ActivationQuant(scale=float(np.float32(o_scale)),
-                                    zero_point=int(o_zp))
-            cls = QDense if kind == _KIND_CODE["dense"] else QConv
-            layers.append(cls(wq=wq, w_scale=w_scale, bq=bq, b_scale=b_scale,
-                              activation=act, out_q=out_q))
-        elif kind == _KIND_CODE["pool"]:
-            layers.append(QPool(width=r.take("I")))
-        elif kind == _KIND_CODE["flatten"]:
-            layers.append(QFlatten())
-        else:
-            raise ContainerError("unknown layer kind code %d" % kind)
-    return QuantizedModel(arch=_ARCH_NAME[arch_code], input_dim=input_dim,
+    input_q = ActivationQuant(scale=_f32(in_scale), zero_point=int(in_zp))
+    layers = [_read_layer(r, quant=True) for _ in range(r.take("H"))]
+    return QuantizedModel(arch=_name(_ARCH_NAME, arch_code, "architecture"),
+                          input_dim=input_dim,
                           input_q=input_q, layers=layers,
                           source_digest=digest)
 
@@ -306,11 +276,13 @@ def parse_container(buf: bytes) -> Container:
     if version != FORMAT_VERSION:
         raise ContainerError("unsupported container version %d" % version)
     c = Container()
+    float_digest = None
     for _ in range(n_sections):
         tag, length = r.take("BQ")
         payload = r.blob(length)
         if tag == SEC_FLOAT:
             c.model = parse_float_payload(payload)
+            float_digest = hashlib.sha256(payload).digest()
         elif tag == SEC_QUANT:
             c.qmodel = parse_quant_payload(payload)
         elif tag == SEC_CALIBRATION:
@@ -319,6 +291,11 @@ def parse_container(buf: bytes) -> Container:
             c.meta = _parse_kv_text(payload)
         else:
             raise ContainerError("unknown section tag %d" % tag)
+    if c.qmodel is not None and float_digest is not None \
+            and c.qmodel.source_digest != float_digest:
+        raise ContainerError("quantized model was not made from the float "
+                             "model in this container (source digest "
+                             "mismatch)")
     return c
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autoenc import AutoencoderModel, _forward
+from .autoenc import AutoencoderModel, im2col
 
 INT8_MIN, INT8_MAX = -128, 127
 INT32_MIN, INT32_MAX = -(2 ** 31), 2 ** 31 - 1
@@ -42,36 +42,19 @@ class ActivationQuant:
 
 
 @dataclass
-class QDense:
-    kind = "dense"
-    wq: np.ndarray          # int8 (in, out)
+class QLayer:
+    """Int8 affine layer: dense on (in, out) weights, conv on
+    (k, c_in, c_out) weights applied to im2col windows."""
+    wq: np.ndarray          # int8 (in, out) or (k, c_in, c_out)
     w_scale: float
     bq: np.ndarray          # int32 (out,)
     b_scale: float
     activation: str
     out_q: ActivationQuant
 
-
-@dataclass
-class QConv:
-    kind = "conv"
-    wq: np.ndarray          # int8 (k, c_in, c_out)
-    w_scale: float
-    bq: np.ndarray          # int32 (c_out,)
-    b_scale: float
-    activation: str
-    out_q: ActivationQuant
-
-
-@dataclass
-class QPool:
-    kind = "pool"
-    width: int
-
-
-@dataclass
-class QFlatten:
-    kind = "flatten"
+    @property
+    def kind(self) -> str:
+        return "conv" if self.wq.ndim == 3 else "dense"
 
 
 @dataclass
@@ -79,7 +62,7 @@ class QuantizedModel:
     arch: str
     input_dim: int
     input_q: ActivationQuant
-    layers: list
+    layers: list            # QLayer, or the float pool/flatten layers
     source_digest: bytes  # sha256 of the float model payload
 
 
@@ -123,34 +106,20 @@ def quantize_model(model: AutoencoderModel,
     if not np.isfinite(calibration).all():
         raise ValueError("calibration set contains non-finite values")
 
-    # capture per-layer float activations
-    h = calibration
-    if model.layers and model.layers[0].kind == "conv":
-        h = h[:, :, None]
-    outputs = []
-    for layer in model.layers:
-        h, _ = layer.forward(h)
-        outputs.append(h)
-
     input_q = _activation_quant(float(calibration.min()),
                                 float(calibration.max()))
     qlayers = []
     cur = input_q
-    for layer, out in zip(model.layers, outputs):
-        if layer.kind == "dense" or layer.kind == "conv":
-            out_q = _activation_quant(float(out.min()), float(out.max()))
-            wq, w_scale, bq, b_scale = _quantize_params(layer.w, layer.b,
-                                                        cur.scale)
-            cls = QDense if layer.kind == "dense" else QConv
-            qlayers.append(cls(wq=wq, w_scale=w_scale, bq=bq, b_scale=b_scale,
-                               activation=layer.activation, out_q=out_q))
-            cur = out_q
-        elif layer.kind == "pool":
-            qlayers.append(QPool(width=layer.width))
-        elif layer.kind == "flatten":
-            qlayers.append(QFlatten())
-        else:
-            raise ValueError("cannot quantize layer kind %r" % layer.kind)
+    h = calibration
+    for layer in model.layers:
+        h, _ = layer.forward(h)
+        if not layer.params():
+            qlayers.append(layer)
+            continue
+        out_q = _activation_quant(float(h.min()), float(h.max()))
+        qlayers.append(QLayer(*_quantize_params(layer.w, layer.b, cur.scale),
+                              activation=layer.activation, out_q=out_q))
+        cur = out_q
 
     from . import model_io
     digest = hashlib.sha256(model_io.float_payload(model)).digest()
@@ -181,38 +150,18 @@ def q_reconstruct(qmodel: QuantizedModel, x) -> np.ndarray:
 
     q = qmodel.input_q.quantize(arr)
     cur = qmodel.input_q
-    if qmodel.layers and qmodel.layers[0].kind == "conv":
-        q = q[:, :, None]
     for layer in qmodel.layers:
-        if layer.kind == "dense":
-            acc = (q - cur.zero_point) @ layer.wq.astype(np.int64) \
-                + layer.bq.astype(np.int64)
-            q = _requantize(acc, cur.scale, layer.w_scale, layer.out_q,
-                            layer.activation)
-            cur = layer.out_q
-        elif layer.kind == "conv":
-            k, c_in, c_out = layer.wq.shape
-            pad = (k - 1) // 2
-            n, length, _ = q.shape
-            centered = q - cur.zero_point
-            colsp = np.zeros((n, length + 2 * pad, c_in), dtype=np.int64)
-            colsp[:, pad:pad + length, :] = centered
-            cols = np.stack([colsp[:, i:i + length, :] for i in range(k)],
-                            axis=2).reshape(n, length, k * c_in)
-            acc = cols @ layer.wq.reshape(k * c_in, c_out).astype(np.int64) \
-                + layer.bq.astype(np.int64)
-            q = _requantize(acc, cur.scale, layer.w_scale, layer.out_q,
-                            layer.activation)
-            cur = layer.out_q
-        elif layer.kind == "pool":
-            n, length, c = q.shape
-            if length % layer.width != 0:
-                raise ValueError("pool input length not divisible")
-            q = q.reshape(n, length // layer.width, layer.width, c).max(axis=2)
-        elif layer.kind == "flatten":
-            q = q.reshape(q.shape[0], -1)
-        else:
-            raise ValueError("unknown quantized layer kind %r" % layer.kind)
+        if not isinstance(layer, QLayer):
+            q, _ = layer.forward(q)
+            continue
+        x = q - cur.zero_point
+        if layer.kind == "conv":
+            x = im2col(x, layer.wq.shape[0])
+        acc = x @ layer.wq.reshape(-1, layer.wq.shape[-1]).astype(np.int64) \
+            + layer.bq.astype(np.int64)
+        q = _requantize(acc, cur.scale, layer.w_scale, layer.out_q,
+                        layer.activation)
+        cur = layer.out_q
 
     out = cur.dequantize(q)
     return out[0] if single else out

@@ -392,10 +392,25 @@ def aggregate(values, s: int = 4, length: int | None = None) -> np.ndarray:
 
 
 def aggregate_many(traces, s: int = 4, length: int | None = None) -> np.ndarray:
-    """Stack aggregate() of each trace into an (n, l) matrix."""
+    """aggregate() of each trace as the rows of an (n, l) matrix.
+
+    Block sums are taken on the integer bytes and are exact, so each row
+    equals aggregate() of its trace bit for bit.
+    """
     if not traces:
         return np.zeros((0, 0))
-    return np.stack([aggregate(t, s=s, length=length) for t in traces])
+    if s < 1:
+        raise ValueError("block width s must be >= 1")
+    stop = None if length is None else int(length)
+    data = np.stack([np.asarray(t.data if isinstance(t, SramTrace) else t)
+                     [:stop] for t in traces])
+    rows, n = data.shape
+    if stop is not None and n < stop:
+        raise ValueError("aggregation length exceeds trace length")
+    if n < s or n % s != 0:
+        raise ValueError("aggregation length %d is not a positive multiple "
+                         "of s=%d" % (n, s))
+    return data.reshape(rows, n // s, s).sum(axis=2) / (255.0 * s)
 
 
 def inject_noise(x: np.ndarray, n_f: float, seed: int) -> np.ndarray:
@@ -546,31 +561,16 @@ def import_traces(path) -> list[SramTrace]:
             if row[3] not in LABELS:
                 raise ValueError("line %d: label must be safe|unsafe" % lineno)
             try:
-                data = np.array([int(x) for x in row[4:]], dtype=np.int64)
+                data = np.array(row[4:], dtype=np.int64)
+                if ((data < 0) | (data > 255)).any():
+                    raise OverflowError
             except ValueError:
                 raise ValueError("line %d: non-integer byte value"
                                  % lineno) from None
-            if ((data < 0) | (data > 255)).any():
+            except OverflowError:
                 raise ValueError("line %d: byte value out of range 0..255"
-                                 % lineno)
+                                 % lineno) from None
             traces.append(SramTrace(device_id=row[0], firmware_id=row[1],
                                     time_step=step, label=row[3],
                                     data=data.astype(np.uint8)))
     return traces
-
-
-def export_aggregates(path, features: np.ndarray, labels,
-                      meta: dict | None = None) -> None:
-    """Write aggregated features as CSV: label,f0,...,f{l-1}."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or len(features) != len(labels):
-        raise ValueError("features must be (n, l) with one label per row")
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        for k in sorted(meta or {}):
-            f.write("# %s=%s\n" % (k, (meta or {})[k]))
-        w = csv.writer(f)
-        w.writerow(["label"] + ["f%d" % i for i in range(features.shape[1])])
-        for lab, row in zip(labels, features):
-            if lab not in LABELS:
-                raise ValueError("label must be safe|unsafe")
-            w.writerow([lab] + ["%.9f" % v for v in row])

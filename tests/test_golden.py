@@ -7,9 +7,11 @@ updates the digest it moves and says why in CHANGES.md.
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from attestlab import cli, evalkit, trace
+from attestlab import cli, evalkit, model_io, quantize, trace
+from attestlab.autoenc import TrainConfig, init_model, reconstruct, train
 from attestlab.config import ExperimentConfig
 from attestlab.seeds import derive_seed
 
@@ -56,6 +58,41 @@ TRACE_DIGESTS = {
         "04d1335b3d76b44175713bb99c244f85b983f11a6433bda3810255a5f333cc75",
     "tamper_control_flow":
         "ebf2c6a4b445d948bbd1d8d24e02bee3763715060f0d2131dd4b983437263b64",
+}
+
+# each architecture at l = 16 after four seeded training epochs: both
+# payloads, float and int8 outputs on ten fixed rows, and the loss history
+MODEL_DIGESTS = {
+    "M1/float_payload":
+        "050ad9cffd35c4229350e7ce3773f9d1de6979ebae9ab96b32c5035ac5e9ba36",
+    "M1/quant_payload":
+        "d185b7de9fc731851f05f4ab4b8bdc721852080c6c7a2bbeb3de5742f78f9fd9",
+    "M1/reconstruct":
+        "e8797fcbb99e500783f5bc3eb05edeaa189eeb483a79909fe02e4f2c170db994",
+    "M1/q_reconstruct":
+        "478e64dd84fe363e32b0ec1f71d6a7f9f46c50da958eefb78b2186b5d1c69271",
+    "M1/loss_history":
+        "47b3f6d036f008b638e877bca2562cac249a83bffde6113c23e21bc8ed1e2483",
+    "M2/float_payload":
+        "83ffa4fc20ed8dca660bc7b40089fd861af1360157546b607ee3a76c7813d4df",
+    "M2/quant_payload":
+        "dfa4894eb46347f3db1c76e72ba3202ab721498681e9adba6004b45b1e143514",
+    "M2/reconstruct":
+        "b738a7fbc78b91f0fb4ddd1bc0095b60de5f226bb3e8f110a687221b7d276f49",
+    "M2/q_reconstruct":
+        "abd0d07713e833a46393e75613c7bde80371fa0a2806764f8a6706b7eae8b73f",
+    "M2/loss_history":
+        "0b27bccb2d46071fd652d555388188abb7c9e29e02bc8a6d94193324f85e68a8",
+    "M3/float_payload":
+        "25ed55b7853330b95bf31777484e7acc48fa62be7c6e7ed056c7604f4033f335",
+    "M3/quant_payload":
+        "98123692c57c38159099917bd23657af5ca406ad033593617686d62d402d151c",
+    "M3/reconstruct":
+        "6455f08313c80cd10407815464f16e3fe047c1aa9f7d087f9ad3e2506dcde091",
+    "M3/q_reconstruct":
+        "b9ae4828ba329c83248b113e33ee0f9a2bfcce864c93a7310731d581385dc115",
+    "M3/loss_history":
+        "0cb95ead139341fba349f35c632e5b99ba578d43d9032152e331323dc6d31100",
 }
 
 
@@ -111,3 +148,29 @@ def test_sample_traces_digest(name):
                                  range(4000))
     data = b"".join(t.data.tobytes() for t in traces)
     assert _sha256(data) == TRACE_DIGESTS[name]
+
+
+def _model_artifacts(arch: str) -> dict:
+    g = np.random.default_rng(21)
+    clean = g.random((48, 16))
+    noisy = clean + 0.1 * g.standard_normal((48, 16))
+    model = init_model(arch, 16, seed=5)
+    train(model, noisy, clean, TrainConfig(epochs=4, batch_size=16, seed=2))
+    qmodel = quantize.quantize_model(model, clean)
+    x = g.random((10, 16))
+    return {
+        "float_payload": model_io.float_payload(model),
+        "quant_payload": model_io.quant_payload(qmodel),
+        "reconstruct": reconstruct(model, x).tobytes(),
+        "q_reconstruct": quantize.q_reconstruct(qmodel, x).tobytes(),
+        "loss_history":
+            np.asarray(model.train_meta.loss_history).tobytes(),
+    }
+
+
+@pytest.mark.parametrize("arch", ["M1", "M2", "M3"])
+def test_model_digests(arch):
+    got = {"%s/%s" % (arch, k): _sha256(v)
+           for k, v in _model_artifacts(arch).items()}
+    assert got == {k: v for k, v in MODEL_DIGESTS.items()
+                   if k.startswith(arch + "/")}

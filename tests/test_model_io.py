@@ -1,5 +1,6 @@
 """Model container: payload round trips and corruption handling."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -74,6 +75,52 @@ def test_float_payload_rejects_unknown_arch_code():
     payload[0] = 99
     with pytest.raises(ContainerError, match="architecture"):
         model_io.parse_float_payload(bytes(payload))
+
+
+# ---------------------------------------------------------------------------
+# layer records
+
+# float payload header: arch, input_dim, dropout, no training metadata and
+# the layer count; quant payload header: arch, input_dim, source digest,
+# input scale and zero-point and the layer count
+FIRST_LAYER_OFFSET = {"float": 13, "quant": 44}
+
+
+def _payload(which):
+    model, qm = _quant_model()
+    return model_io.float_payload(model) if which == "float" \
+        else model_io.quant_payload(qm)
+
+
+def _parse(which, buf):
+    parse = model_io.parse_float_payload if which == "float" \
+        else model_io.parse_quant_payload
+    return parse(bytes(buf))
+
+
+@pytest.mark.parametrize("which", ["float", "quant"])
+def test_layer_record_layout(which):
+    # kind code, activation code, then one u32 per weight dimension
+    buf = _payload(which)
+    off = FIRST_LAYER_OFFSET[which]
+    assert struct.unpack_from("<H", buf, off - 2)[0] == 2
+    assert struct.unpack_from("<BBII", buf, off) == (1, 1, 16, 8)
+
+
+@pytest.mark.parametrize("which", ["float", "quant"])
+@pytest.mark.parametrize("field,what", [(0, "layer kind"), (1, "activation")])
+def test_payload_rejects_unknown_layer_codes(which, field, what):
+    buf = bytearray(_payload(which))
+    buf[FIRST_LAYER_OFFSET[which] + field] = 99
+    with pytest.raises(ContainerError, match="unknown %s code 99" % what):
+        _parse(which, buf)
+
+
+def test_quant_payload_rejects_unknown_arch_code():
+    buf = bytearray(_payload("quant"))
+    buf[0] = 99
+    with pytest.raises(ContainerError, match="architecture"):
+        _parse("quant", buf)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +200,21 @@ def test_container_roundtrip_all_sections(tmp_path):
     assert c.calibration == calib
     assert c.meta == {"config_digest": "abc123", "seed": "1"}
     assert model_io.quant_payload(c.qmodel) == model_io.quant_payload(qm)
+
+
+def test_container_rejects_quant_section_of_another_model():
+    model_a, qm_a = _quant_model()
+    model_b = init_model("M1", 16, seed=4)
+    assert qm_a.source_digest == hashlib.sha256(
+        model_io.float_payload(model_a)).digest()
+    spliced = model_io.container_bytes(model=model_b, qmodel=qm_a)
+    with pytest.raises(ContainerError, match="source digest"):
+        model_io.parse_container(spliced)
+    # either section alone still loads
+    assert model_io.parse_container(
+        model_io.container_bytes(qmodel=qm_a)).qmodel is not None
+    assert model_io.parse_container(
+        model_io.container_bytes(model=model_b)).model is not None
 
 
 def test_container_partial_sections():

@@ -403,6 +403,34 @@ def test_aggregate_many_stacks_rows():
                                                 length=prof.data_section_len))
 
 
+@pytest.mark.parametrize("s", [1, 4, 8])
+def test_aggregate_many_matches_aggregate_on_mixed_lengths(s):
+    # a control-flow mutant's stack makes its traces longer than the safe
+    # profile's; only the leading data section is aggregated
+    prof = _profile()
+    mut = trace.mutate_profile(prof, "tamper_control_flow", 0.5, 0)
+    traces = trace.sample_traces(prof, 1, range(3)) \
+        + trace.sample_traces(mut, 1, range(3))
+    assert len({len(t.data) for t in traces}) == 2
+    m = trace.aggregate_many(traces, s=s, length=prof.data_section_len)
+    want = np.stack([trace.aggregate(t, s=s, length=prof.data_section_len)
+                     for t in traces])
+    assert m.dtype == np.float64
+    assert m.tobytes() == want.tobytes()
+
+
+def test_aggregate_many_errors():
+    traces = trace.sample_traces(_profile(), 1, range(2))
+    n = len(traces[0].data)
+    assert trace.aggregate_many([], s=4).shape == (0, 0)
+    assert trace.aggregate_many(traces, s=4).shape == (2, n // 4)
+    for bad in (dict(s=0), dict(s=4, length=10), dict(s=4, length=n + 4)):
+        with pytest.raises(ValueError):
+            trace.aggregate_many(traces, **bad)
+    with pytest.raises(ValueError):  # unequal lengths and no span given
+        trace.aggregate_many([traces[0], traces[1].data[:-4]], s=4)
+
+
 # ---------------------------------------------------------------------------
 # noise and datasets
 
@@ -530,21 +558,26 @@ def test_import_traces_rejects_bad_label_and_step(tmp_path):
         trace.import_traces(path)
 
 
+def test_import_traces_rejects_oversized_byte_value(tmp_path):
+    # too large for int64: still the line-numbered range error
+    path = tmp_path / "bad.csv"
+    path.write_text("device_id,firmware_id,time_step,label,b0,b1\n"
+                    "d,f,0,safe,1,2\n"
+                    "d,f,1,safe,99999999999999999999,2\n")
+    with pytest.raises(ValueError, match="line 3: byte value out of range"):
+        trace.import_traces(path)
+
+
+def test_import_traces_rejects_non_integer_byte_value(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("device_id,firmware_id,time_step,label,b0\n"
+                    "d,f,0,safe,1.5\n")
+    with pytest.raises(ValueError, match="line 2: non-integer byte value"):
+        trace.import_traces(path)
+
+
 def test_import_traces_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("device,firmware_id,time_step,label,b0\nd,f,0,safe,1\n")
     with pytest.raises(ValueError, match="line 1"):
         trace.import_traces(path)
-
-
-def test_export_aggregates_format(tmp_path):
-    path = tmp_path / "agg.csv"
-    feats = np.array([[0.25, 0.5], [0.75, 1.0]])
-    trace.export_aggregates(path, feats, ["safe", "unsafe"],
-                            meta={"s": 4})
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# s=4"
-    assert lines[1] == "label,f0,f1"
-    assert lines[2].startswith("safe,0.25")
-    with pytest.raises(ValueError):
-        trace.export_aggregates(path, feats, ["safe", "odd"])
