@@ -34,11 +34,11 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
     raise ValueError("unknown activation: %r" % name)
 
 
-def _act_grad(name: str, z: np.ndarray) -> np.ndarray:
+def _act_backward(name: str, z: np.ndarray, dout: np.ndarray) -> np.ndarray:
     if name == "relu":
-        return (z > 0.0).astype(z.dtype)
+        return dout * (z > 0.0)
     if name == "linear":
-        return np.ones_like(z)
+        return dout
     raise ValueError("unknown activation: %r" % name)
 
 
@@ -69,13 +69,14 @@ class DenseLayer:
         z = x @ self.w.reshape(-1, self.w.shape[-1]) + self.b
         return _act(self.activation, z), (x, z)
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx=True):
         x, z = cache
-        dz = dout * _act_grad(self.activation, z)
+        dz = _act_backward(self.activation, z, dout)
         w = self.w.reshape(-1, self.w.shape[-1])
         x_rows, dz_rows = x.reshape(-1, w.shape[0]), dz.reshape(-1, w.shape[1])
-        return dz @ w.T, {"w": (x_rows.T @ dz_rows).reshape(self.w.shape),
-                          "b": dz_rows.sum(axis=0)}
+        grads = {"w": (x_rows.T @ dz_rows).reshape(self.w.shape),
+                 "b": dz_rows.sum(axis=0)}
+        return (dz @ w.T if need_dx else None), grads
 
     def params(self):
         return {"w": self.w, "b": self.b}
@@ -95,8 +96,10 @@ class Conv1dLayer(DenseLayer):
     def forward(self, x):
         return super().forward(im2col(x, self.w.shape[0]))
 
-    def backward(self, dout, cache):
-        dcols, grads = super().backward(dout, cache)
+    def backward(self, dout, cache, need_dx=True):
+        dcols, grads = super().backward(dout, cache, need_dx)
+        if not need_dx:
+            return None, grads
         k = self.w.shape[0]
         pad = (k - 1) // 2
         n, length, _ = dcols.shape
@@ -122,7 +125,7 @@ class MaxPool1dLayer:
         return x.reshape(n, length // self.width, self.width, c) \
             .max(axis=2), (x,)
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx=True):
         x, = cache
         n, length, c = x.shape
         view = x.reshape(n, length // self.width, self.width, c)
@@ -142,7 +145,7 @@ class FlattenLayer:
         n = x.shape[0]
         return x.reshape(n, -1), (x.shape,)
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx=True):
         return dout.reshape(cache[0]), {}
 
     def params(self):
@@ -241,13 +244,14 @@ def _forward(model: AutoencoderModel, x: np.ndarray, train_mode: bool,
 
 
 def _backward(model: AutoencoderModel, caches, dout, mask):
+    """Per-layer parameter gradients; the input gradient of layer 0, which
+    nothing reads, is never formed."""
     grads = [None] * len(model.layers)
     g = dout
     for i in range(len(model.layers) - 1, -1, -1):
         if mask is not None and i == model.dropout_after:
             g = g * mask
-        g, layer_grads = model.layers[i].backward(g, caches[i])
-        grads[i] = layer_grads
+        g, grads[i] = model.layers[i].backward(g, caches[i], need_dx=i > 0)
     return grads
 
 
@@ -288,7 +292,11 @@ def loss_and_grads(model: AutoencoderModel, x: np.ndarray, y: np.ndarray,
 
 def train(model: AutoencoderModel, x_noisy: np.ndarray, x_clean: np.ndarray,
           cfg: TrainConfig = TrainConfig()) -> AutoencoderModel:
-    """Adam training with seeded epoch shuffles; mutates model in place."""
+    """Adam training with seeded epoch shuffles; mutates model in place.
+
+    Afterwards every layer's `w` and `b` are views of one contiguous
+    float64 parameter buffer.
+    """
     x_noisy = np.asarray(x_noisy, dtype=np.float64)
     x_clean = np.asarray(x_clean, dtype=np.float64)
     if x_noisy.shape != x_clean.shape or x_noisy.ndim != 2:
@@ -302,11 +310,20 @@ def train(model: AutoencoderModel, x_noisy: np.ndarray, x_clean: np.ndarray,
     dropout_rng = np.random.default_rng((cfg.seed, 0x5eed))
     n = len(x_noisy)
 
-    m_state, v_state = {}, {}
-    for i, layer in enumerate(model.layers):
-        for name, p in layer.params().items():
-            m_state[(i, name)] = np.zeros_like(p)
-            v_state[(i, name)] = np.zeros_like(p)
+    # Adam is elementwise, so one update over flat buffers of parameters,
+    # gradients and moments does the per-parameter work in one pass
+    slots = [(i, name) for i, layer in enumerate(model.layers)
+             for name in layer.params()]
+    theta = np.concatenate([getattr(model.layers[i], name).ravel()
+                            for i, name in slots])
+    off = 0
+    for i, name in slots:
+        layer = model.layers[i]
+        p = getattr(layer, name)
+        setattr(layer, name, theta[off:off + p.size].reshape(p.shape))
+        off += p.size
+    grad, m, v = (np.zeros_like(theta) for _ in range(3))
+    b1, b2 = cfg.beta1, cfg.beta2
 
     step = 0
     history = []
@@ -327,17 +344,15 @@ def train(model: AutoencoderModel, x_noisy: np.ndarray, x_clean: np.ndarray,
             epoch_loss += loss
             batches += 1
             step += 1
-            for i, layer in enumerate(model.layers):
-                params = layer.params()
-                for name, g in grads[i].items():
-                    key = (i, name)
-                    m_state[key] = cfg.beta1 * m_state[key] + (1 - cfg.beta1) * g
-                    v_state[key] = cfg.beta2 * v_state[key] \
-                        + (1 - cfg.beta2) * g * g
-                    m_hat = m_state[key] / (1 - cfg.beta1 ** step)
-                    v_hat = v_state[key] / (1 - cfg.beta2 ** step)
-                    params[name] -= cfg.learning_rate * m_hat \
-                        / (np.sqrt(v_hat) + cfg.adam_eps)
+            np.concatenate([grads[i][name].ravel() for i, name in slots],
+                           out=grad)
+            # the per-parameter update's operations, in the same order
+            m *= b1
+            m += (1 - b1) * grad
+            v *= b2
+            v += (1 - b2) * grad * grad
+            theta -= cfg.learning_rate * (m / (1 - b1 ** step)) \
+                / (np.sqrt(v / (1 - b2 ** step)) + cfg.adam_eps)
         history.append(epoch_loss / max(batches, 1))
 
     final = float(np.mean(reconstruction_error(

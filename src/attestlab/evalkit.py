@@ -267,7 +267,9 @@ def run_experiment(cfg: ExperimentConfig,
             pos_feats.append(other.safe_features)
             if len(other.unsafe_features):
                 pos_feats.append(other.unsafe_features)
-        pos = q_errors(b.qmodel, np.vstack(pos_feats))
+        # rows score independently, so scoring block by block gives the
+        # errors of one stacked matrix without building it
+        pos = np.concatenate([q_errors(b.qmodel, f) for f in pos_feats])
         errors = np.concatenate([neg, pos])
         labels = np.concatenate([np.zeros(neg.size, dtype=int),
                                  np.ones(pos.size, dtype=int)])

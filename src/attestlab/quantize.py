@@ -4,8 +4,14 @@ Weights are per-tensor symmetric int8 (zero-point 0, range [-127, 127]);
 activations are asymmetric int8 with scale and zero-point calibrated from
 forward passes of the float model, ranges widened to include 0 so zero is
 exactly representable; biases are int32 at scale input_scale * weight_scale.
-Inference accumulates in int32/int64 and applies relu in the integer domain
-by clamping at the zero-point. Rounding is half-away-from-zero throughout.
+Rounding is half-away-from-zero throughout.
+
+Inference carries each activation as its centred code q - zero_point, held
+in float64, and accumulates with the float64 matmul. That is exact integer
+arithmetic: |code| <= 255 and |weight| <= 127, so a K-input layer's partial
+sums stay below 255 * 127 * K + 2**31, under 2**53 for any K below 2.7e11.
+Clipping to int8 becomes clipping to [-128 - zp, 127 - zp], and relu is a
+lower bound of 0 on the centred code.
 """
 
 from __future__ import annotations
@@ -23,8 +29,14 @@ INT32_MIN, INT32_MAX = -(2 ** 31), 2 ** 31 - 1
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
     """Round halves away from zero (0.5 -> 1, -0.5 -> -1)."""
-    x = np.asarray(x)
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    return _round_half_away_inplace(np.array(x, dtype=np.float64))
+
+
+def _round_half_away_inplace(x: np.ndarray) -> np.ndarray:
+    # trunc(x + copysign(0.5, x)) is sign(x) * floor(|x| + 0.5): both add
+    # 0.5 to |x| with the same rounding; zero may come out as -0.0
+    x += np.copysign(0.5, x)
+    return np.trunc(x, out=x)
 
 
 @dataclass(frozen=True)
@@ -128,18 +140,8 @@ def quantize_model(model: AutoencoderModel,
                           source_digest=digest)
 
 
-def _requantize(acc: np.ndarray, in_scale: float, w_scale: float,
-                out_q: ActivationQuant, activation: str) -> np.ndarray:
-    mult = (in_scale * w_scale) / out_q.scale
-    q = round_half_away(acc * mult) + out_q.zero_point
-    q = np.clip(q, INT8_MIN, INT8_MAX)
-    if activation == "relu":
-        q = np.maximum(q, out_q.zero_point)
-    return q.astype(np.int64)
-
-
 def q_reconstruct(qmodel: QuantizedModel, x) -> np.ndarray:
-    """Integer-domain inference; returns dequantized float output."""
+    """Int8 inference, exact in float64; returns dequantized float output."""
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
     if single:
@@ -147,23 +149,29 @@ def q_reconstruct(qmodel: QuantizedModel, x) -> np.ndarray:
     if arr.shape[1] != qmodel.input_dim:
         raise ValueError("expected %d features, got %d"
                          % (qmodel.input_dim, arr.shape[1]))
+    if not np.isfinite(arr).all():
+        raise ValueError("input contains non-finite values")
 
-    q = qmodel.input_q.quantize(arr)
     cur = qmodel.input_q
+    c = _round_half_away_inplace(arr / cur.scale)
+    np.clip(c, INT8_MIN - cur.zero_point, INT8_MAX - cur.zero_point, out=c)
     for layer in qmodel.layers:
         if not isinstance(layer, QLayer):
-            q, _ = layer.forward(q)
+            c, _ = layer.forward(c)  # max pool commutes with the centring
             continue
-        x = q - cur.zero_point
         if layer.kind == "conv":
-            x = im2col(x, layer.wq.shape[0])
-        acc = x @ layer.wq.reshape(-1, layer.wq.shape[-1]).astype(np.int64) \
-            + layer.bq.astype(np.int64)
-        q = _requantize(acc, cur.scale, layer.w_scale, layer.out_q,
-                        layer.activation)
-        cur = layer.out_q
+            c = im2col(c, layer.wq.shape[0])
+        acc = c @ layer.wq.reshape(-1, layer.wq.shape[-1]).astype(np.float64)
+        acc += layer.bq
+        out_q = layer.out_q
+        acc *= (cur.scale * layer.w_scale) / out_q.scale
+        c = _round_half_away_inplace(acc)
+        lo = 0 if layer.activation == "relu" else INT8_MIN - out_q.zero_point
+        np.clip(c, lo, INT8_MAX - out_q.zero_point, out=c)
+        cur = out_q
 
-    out = cur.dequantize(q)
+    out = c * cur.scale
+    out += 0.0  # -0.0 from the rounding becomes +0.0
     return out[0] if single else out
 
 

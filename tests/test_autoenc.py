@@ -282,3 +282,138 @@ def test_train_validates_inputs():
         train(model, noisy[:, :4], clean[:, :4], TrainConfig(epochs=1))
     with pytest.raises(ValueError):
         train(model, noisy, clean, TrainConfig(epochs=0))
+
+
+# ---------------------------------------------------------------------------
+# flat Adam, against the per-parameter reference
+
+def _ref_backward(model, caches, dout, mask):
+    """Backward pass as it ran before layer 0's input gradient was skipped:
+    every dense/conv input gradient formed, activations through 0/1 masks."""
+    grads = [None] * len(model.layers)
+    g = dout
+    for i in range(len(model.layers) - 1, -1, -1):
+        if mask is not None and i == model.dropout_after:
+            g = g * mask
+        layer = model.layers[i]
+        if not layer.params():
+            g, grads[i] = layer.backward(g, caches[i])
+            continue
+        x, z = caches[i]
+        act = (z > 0.0).astype(z.dtype) if layer.activation == "relu" \
+            else np.ones_like(z)
+        dz = g * act
+        w = layer.w.reshape(-1, layer.w.shape[-1])
+        x_rows, dz_rows = x.reshape(-1, w.shape[0]), dz.reshape(-1, w.shape[1])
+        grads[i] = {"w": (x_rows.T @ dz_rows).reshape(layer.w.shape),
+                    "b": dz_rows.sum(axis=0)}
+        g = dz @ w.T
+        if layer.kind == "conv":
+            k = layer.w.shape[0]
+            pad = (k - 1) // 2
+            n, length, _ = g.shape
+            dcols = g.reshape(n, length, k, -1)
+            dxp = np.zeros((n, length + 2 * pad, dcols.shape[3]))
+            for t in range(k):
+                dxp[:, t:t + length, :] += dcols[:, :, t, :]
+            g = dxp[:, pad:pad + length, :]
+    return grads
+
+
+def _ref_train(model, x_noisy, x_clean, cfg):
+    """Adam with one moment array per parameter, as training ran before the
+    flat buffers; the oracle the flat update must match bit for bit."""
+    shuffle_rng = np.random.default_rng(cfg.seed)
+    dropout_rng = np.random.default_rng((cfg.seed, 0x5eed))
+    n = len(x_noisy)
+    m_state, v_state = {}, {}
+    for i, layer in enumerate(model.layers):
+        for name, p in layer.params().items():
+            m_state[(i, name)] = np.zeros_like(p)
+            v_state[(i, name)] = np.zeros_like(p)
+    step = 0
+    history = []
+    for epoch in range(cfg.epochs):
+        perm = shuffle_rng.permutation(n)
+        epoch_loss = 0.0
+        batches = 0
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            out, caches, mask = autoenc._forward(model, x_noisy[idx], True,
+                                                 dropout_rng)
+            diff = out - x_clean[idx]
+            loss = float((diff ** 2).mean())
+            grads = _ref_backward(model, caches, 2.0 * diff / diff.size, mask)
+            if not np.isfinite(loss):
+                raise TrainingDiverged("loss became non-finite at epoch %d"
+                                       % (epoch + 1))
+            epoch_loss += loss
+            batches += 1
+            step += 1
+            for i, layer in enumerate(model.layers):
+                params = layer.params()
+                for name, g in grads[i].items():
+                    key = (i, name)
+                    m_state[key] = cfg.beta1 * m_state[key] \
+                        + (1 - cfg.beta1) * g
+                    v_state[key] = cfg.beta2 * v_state[key] \
+                        + (1 - cfg.beta2) * g * g
+                    m_hat = m_state[key] / (1 - cfg.beta1 ** step)
+                    v_hat = v_state[key] / (1 - cfg.beta2 ** step)
+                    params[name] -= cfg.learning_rate * m_hat \
+                        / (np.sqrt(v_hat) + cfg.adam_eps)
+        history.append(epoch_loss / max(batches, 1))
+    final = float(np.mean(reconstruction_error(x_clean,
+                                               reconstruct(model, x_noisy))))
+    return history, final
+
+
+@pytest.mark.parametrize("arch,dropout", [("M1", 0.2), ("M2", 0.2),
+                                          ("M3", 0.2), ("M1", 0.0)])
+def test_train_bits_match_per_parameter_adam(arch, dropout):
+    noisy, clean = _low_rank_data(100, 16, seed=12)
+    cfg = TrainConfig(epochs=6, batch_size=16, learning_rate=0.01, seed=4)
+    got = train(init_model(arch, 16, seed=4, dropout_rate=dropout),
+                noisy, clean, cfg)
+    ref = init_model(arch, 16, seed=4, dropout_rate=dropout)
+    history, final = _ref_train(ref, noisy, clean, cfg)
+    for lg, lr in zip(got.layers, ref.layers):
+        for name, p in lr.params().items():
+            assert getattr(lg, name).tobytes() == p.tobytes()
+    assert got.train_meta.loss_history == history
+    assert got.train_meta.final_train_mse == final
+
+
+@pytest.mark.parametrize("arch", ["M1", "M3"])
+def test_first_layer_input_gradient_is_skipped(arch):
+    model = init_model(arch, 16, seed=2)
+    x = np.random.default_rng(2).random((4, 16))
+    out, cache = model.layers[0].forward(x)
+    dx, grads = model.layers[0].backward(np.ones_like(out), cache,
+                                         need_dx=False)
+    full_dx, full = model.layers[0].backward(np.ones_like(out), cache)
+    assert dx is None and full_dx.shape[:2] == (4, 16)
+    for name in ("w", "b"):
+        assert grads[name].tobytes() == full[name].tobytes()
+
+
+def test_trained_parameters_share_one_buffer():
+    model, _ = _trained_pair("M3")
+    views = [p for layer in model.layers for p in layer.params().values()]
+    base = views[0].base
+    assert base is not None and base.ndim == 1
+    assert all(p.base is base for p in views)
+    assert sum(p.size for p in views) == base.size
+
+
+def test_huge_learning_rate_diverges_at_the_reference_epoch():
+    noisy, clean = _low_rank_data(32, 16, seed=12)
+    cfg = TrainConfig(epochs=10, batch_size=32, learning_rate=1e100, seed=4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDiverged) as ref:
+            _ref_train(init_model("M1", 16, seed=4), noisy, clean, cfg)
+        with pytest.raises(TrainingDiverged) as got:
+            train(init_model("M1", 16, seed=4), noisy, clean, cfg)
+    epoch = str(ref.value).split("epoch ")[1]
+    assert int(epoch) > 1
+    assert "at epoch %s;" % epoch in str(got.value)

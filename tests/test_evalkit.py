@@ -181,6 +181,18 @@ def test_q_errors_matches_composed_pipeline(bundle, tiny_cfg):
     assert got.shape == (feats.shape[0],)
 
 
+@pytest.mark.parametrize("arch", ["M1", "M3"])
+def test_q_errors_rows_score_independently(arch):
+    # run_experiment scores each positive block on its own and concatenates
+    g = np.random.default_rng(5)
+    model = autoenc.init_model(arch, 32, seed=5)
+    qm = quantize.quantize_model(model, g.random((64, 32)))
+    blocks = [g.random((n, 32)) * 1.5 - 0.2 for n in (700, 1, 333, 2, 1)]
+    stacked = evalkit.q_errors(qm, np.vstack(blocks))
+    per_block = np.concatenate([evalkit.q_errors(qm, b) for b in blocks])
+    assert stacked.tobytes() == per_block.tobytes()
+
+
 # --------------------------------------------------------- prepare_firmware
 
 

@@ -192,3 +192,110 @@ def test_size_report_stable_across_reload(tmp_path):
     rep = size_report(model, qm)
     rep2 = size_report(loaded.model, loaded.qmodel)
     assert rep == rep2
+
+
+# ---------------------------------------------------------------------------
+# exactness of the float64 integer path, against the int64 reference
+
+def _ref_round_half_away(x):
+    x = np.asarray(x)
+    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
+def _ref_requantize(acc, in_scale, w_scale, out_q, activation):
+    mult = (in_scale * w_scale) / out_q.scale
+    q = _ref_round_half_away(acc * mult) + out_q.zero_point
+    q = np.clip(q, quantize.INT8_MIN, quantize.INT8_MAX)
+    if activation == "relu":
+        q = np.maximum(q, out_q.zero_point)
+    return q.astype(np.int64)
+
+
+def _ref_q_reconstruct(qmodel, x):
+    """Int64 codes and int64 matmuls, as inference ran before the float64
+    path; kept as the oracle the float64 path must match byte for byte."""
+    arr = np.asarray(x, dtype=np.float64)
+    single = arr.ndim == 1
+    if single:
+        arr = arr[None, :]
+    cur = qmodel.input_q
+    q = np.clip(_ref_round_half_away(arr / cur.scale) + cur.zero_point,
+                quantize.INT8_MIN, quantize.INT8_MAX).astype(np.int64)
+    for layer in qmodel.layers:
+        if not isinstance(layer, quantize.QLayer):
+            q, _ = layer.forward(q)
+            continue
+        x = q - cur.zero_point
+        if layer.kind == "conv":
+            x = autoenc.im2col(x, layer.wq.shape[0])
+        acc = x @ layer.wq.reshape(-1, layer.wq.shape[-1]).astype(np.int64) \
+            + layer.bq.astype(np.int64)
+        q = _ref_requantize(acc, cur.scale, layer.w_scale, layer.out_q,
+                            layer.activation)
+        cur = layer.out_q
+    out = (q.astype(np.float64) - cur.zero_point) * cur.scale
+    return out[0] if single else out
+
+
+def _edge_rows(qm, l, n, seed):
+    g = np.random.default_rng(seed)
+    scale = qm.input_q.scale
+    halves = (np.arange(-200, 200) + 0.5) * scale
+    halves = halves[np.modf(halves / scale)[0] == 0.5 * np.sign(halves)]
+    rows = [g.random((n, l)),                       # in range
+            -g.random((8, l)),                      # negative features
+            1.0 + 3.0 * g.random((8, l)),           # features > 1
+            np.zeros((3, l)),                       # all-zero rows
+            np.resize(halves, (4, l)),              # exact half codes
+            np.full((1, l), 1e6), np.full((1, l), -1e6)]
+    return np.vstack(rows), halves
+
+
+def _noisy_clean(g, n, l):
+    clean = g.random((n, l))
+    return clean + 0.05 * g.random((n, l)), clean
+
+
+@pytest.mark.parametrize("arch", ["M1", "M2", "M3"])
+def test_q_reconstruct_bytes_match_int64_reference(arch):
+    l = 32
+    g = np.random.default_rng(7)
+    model = init_model(arch, l, seed=7)
+    autoenc.train(model, *_noisy_clean(g, 256, l),
+                  autoenc.TrainConfig(epochs=3, batch_size=32, seed=7))
+    qm = quantize_model(model, g.random((128, l)))
+    x, halves = _edge_rows(qm, l, 1200, seed=8)
+    assert halves.size > 0  # inputs that land exactly on half codes
+    got = q_reconstruct(qm, x)
+    assert got.tobytes() == _ref_q_reconstruct(qm, x).tobytes()
+    for row in (0, 1200, 1210, 1216, 1219, len(x) - 1):
+        assert q_reconstruct(qm, x[row]).tobytes() \
+            == _ref_q_reconstruct(qm, x[row]).tobytes()
+
+
+def test_q_reconstruct_output_has_no_negative_zero():
+    # rounding leaves -0.0 on codes reached from below the zero point;
+    # equal in value, but the output bytes must match the integer path
+    model, qm, calib = _calibrated(l=32, n=256)
+    out = q_reconstruct(qm, calib)
+    assert np.any(out == 0.0)
+    assert not np.any(np.signbit(out) & (out == 0.0))
+
+
+def test_round_half_away_matches_sign_floor_form():
+    g = np.random.default_rng(3)
+    x = np.concatenate([np.arange(-600, 601) / 4.0, 1e3 * g.standard_normal(
+        1000), [0.49999999999999994, -0.49999999999999994, 2.0 ** 52 + 1,
+                -(2.0 ** 52 + 1), 1e300, -1e300]])
+    assert np.array_equal(round_half_away(x), _ref_round_half_away(x))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_q_reconstruct_rejects_non_finite_input(bad):
+    _, qm, calib = _calibrated()
+    x = calib[:3].copy()
+    x[1, 4] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        q_reconstruct(qm, x)
+    with pytest.raises(ValueError, match="non-finite"):
+        q_reconstruct(qm, x[1])
