@@ -123,7 +123,9 @@ def validate_report(ctx: AttestationContext, sender_id: bytes, blob: bytes):
     Returns (OutcomeKind, verdict-or-None): COMPLETED means a fresh report
     from the claimed sender with a safe verdict; SENDER_UNSAFE carries
     verdict 1; garbled ciphertext, layout, or identity problems map to
-    ABORT_INCONSISTENT_ID and stale timestamps to ABORT_EXPIRED_REPORT.
+    ABORT_INCONSISTENT_ID. A timestamp more than expiry_ms from now, in
+    the past or in the future, maps to ABORT_EXPIRED_REPORT: the expiry
+    window is also the clock-skew bound.
     """
     key = ctx.inner_key(sender_id)
     try:
@@ -137,7 +139,7 @@ def validate_report(ctx: AttestationContext, sender_id: bytes, blob: bytes):
     t_ms = int.from_bytes(plain[DEVICE_ID_LEN + 1:DEVICE_ID_LEN + 9], "big")
     if rid != bytes(sender_id) or verdict not in (SAFE, UNSAFE):
         return OutcomeKind.ABORT_INCONSISTENT_ID, None
-    if ctx.clock.now() - t_ms > ctx.expiry_ms:
+    if abs(ctx.clock.now() - t_ms) > ctx.expiry_ms:
         return OutcomeKind.ABORT_EXPIRED_REPORT, None
     if verdict == UNSAFE:
         return OutcomeKind.SENDER_UNSAFE, UNSAFE

@@ -44,14 +44,6 @@ class ActivationQuant:
     scale: float
     zero_point: int
 
-    def quantize(self, x: np.ndarray) -> np.ndarray:
-        q = round_half_away(np.asarray(x, dtype=np.float64) / self.scale) \
-            + self.zero_point
-        return np.clip(q, INT8_MIN, INT8_MAX).astype(np.int64)
-
-    def dequantize(self, q: np.ndarray) -> np.ndarray:
-        return (np.asarray(q, dtype=np.float64) - self.zero_point) * self.scale
-
 
 @dataclass
 class QLayer:

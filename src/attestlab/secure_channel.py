@@ -3,10 +3,21 @@
 AES-128-CBC with PKCS#7 padding and a fresh random IV per message,
 HMAC-SHA256 message tags, a seedable randomness source so simulations are
 reproducible, and simulated/system millisecond clocks.
+
+CBC is written out around a keyed AES block cipher (NIST SP 800-38A,
+6.2): C_0 = IV, C_i = E_K(P_i xor C_{i-1}) and P_i = D_K(C_i) xor C_{i-1}.
+AES itself runs in `cryptography`, as one ECB encryptor and one ECB
+decryptor per key, built once and memoized (at most 64 keys). The cached
+contexts only ever see whole 16-byte blocks: enc() pads before its first
+update and dec() checks the length before its one update, and neither ever
+finalizes them. So they carry no state from one message to the next, and
+the bytes equal the library's own CBC mode. The contexts are shared by
+every caller in the process, so enc() and dec() are single-threaded.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as _hmac
 import secrets
@@ -77,14 +88,28 @@ def _check_key(key: bytes) -> None:
         raise ValueError("key must be %d bytes" % KEY_LEN)
 
 
+@functools.lru_cache(maxsize=64)
+def _aes_blocks(key: bytes):
+    """(encryptor, decryptor) of AES-128 ECB under key; whole blocks only."""
+    cipher = Cipher(algorithms.AES(key), modes.ECB())
+    return cipher.encryptor(), cipher.decryptor()
+
+
 def enc(plaintext: bytes, key: bytes, rng: RandomSource) -> bytes:
     """Encrypt with AES-128-CBC/PKCS#7. Returns IV || ciphertext."""
     _check_key(key)
     iv = rng.bytes(IV_LEN)
     padder = padding.PKCS7(128).padder()
     padded = padder.update(bytes(plaintext)) + padder.finalize()
-    encryptor = Cipher(algorithms.AES(bytes(key)), modes.CBC(iv)).encryptor()
-    return iv + encryptor.update(padded) + encryptor.finalize()
+    encrypt = _aes_blocks(bytes(key))[0].update
+    out = [iv]
+    prev = int.from_bytes(iv, "big")
+    for i in range(0, len(padded), 16):
+        block = encrypt((int.from_bytes(padded[i:i + 16], "big")
+                         ^ prev).to_bytes(16, "big"))
+        out.append(block)
+        prev = int.from_bytes(block, "big")
+    return b"".join(out)
 
 
 def dec(blob: bytes, key: bytes) -> bytes:
@@ -93,9 +118,10 @@ def dec(blob: bytes, key: bytes) -> bytes:
     blob = bytes(blob)
     if len(blob) < IV_LEN + 16 or (len(blob) - IV_LEN) % 16 != 0:
         raise DecryptError("ciphertext has invalid length")
-    iv, body = blob[:IV_LEN], blob[IV_LEN:]
-    decryptor = Cipher(algorithms.AES(bytes(key)), modes.CBC(iv)).decryptor()
-    padded = decryptor.update(body) + decryptor.finalize()
+    body = blob[IV_LEN:]
+    # every block at once: D_K(C_i) xor C_{i-1}, with C_0 = IV
+    padded = (int.from_bytes(_aes_blocks(bytes(key))[1].update(body), "big")
+              ^ int.from_bytes(blob[:-16], "big")).to_bytes(len(body), "big")
     unpadder = padding.PKCS7(128).unpadder()
     try:
         return unpadder.update(padded) + unpadder.finalize()

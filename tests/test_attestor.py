@@ -157,6 +157,18 @@ def test_validate_report_expiry_boundary():
         is OutcomeKind.ABORT_EXPIRED_REPORT
 
 
+def test_validate_report_future_boundary():
+    # the expiry window is also the clock-skew bound, after now as before it
+    b = _ctx(self_id=ID_B, peer_id=ID_A, clock=sc.SimulatedClock(10_000),
+             seed=2, expiry_ms=5000)
+    for ahead, want in ((5000, OutcomeKind.COMPLETED),
+                        (5001, OutcomeKind.ABORT_EXPIRED_REPORT)):
+        a = _ctx(self_id=ID_A, peer_id=ID_B, seed=1, expiry_ms=5000,
+                 clock=sc.SimulatedClock(10_000 + ahead))
+        report = encode_report(a, ID_B, attestor.SAFE)
+        assert validate_report(b, ID_A, report)[0] is want
+
+
 def test_validate_report_wrong_sender_id():
     a, b, _ = _peer_pair()
     report = encode_report(a, ID_B, attestor.SAFE)
@@ -190,9 +202,10 @@ def test_validate_report_garbage_blobs():
 def test_validate_report_tampered_ciphertext():
     # CBC malleability boundary: an IV flip lands byte-for-byte in the first
     # plaintext block, so the report layer alone only catches flips over the
-    # fields it checks (sender id, verdict byte); transport integrity for
-    # the rest is the handshake HMAC's job. Flips inside the ciphertext
-    # blocks garble a whole block and always abort.
+    # fields it checks (sender id, verdict byte, timestamp beyond the
+    # window); transport integrity for the rest is the handshake HMAC's
+    # job. Flips inside the ciphertext blocks garble a whole block and
+    # always abort.
     a, b, _ = _peer_pair()
     report = bytes(encode_report(a, ID_B, attestor.SAFE))
     for i in range(0, 5):  # IV bytes feeding the id and verdict fields
@@ -200,6 +213,11 @@ def test_validate_report_tampered_ciphertext():
         flipped[i] ^= 0x80
         kind, _ = validate_report(b, ID_A, bytes(flipped))
         assert kind is OutcomeKind.ABORT_INCONSISTENT_ID
+    for i in range(5, 12):  # t_ms bytes: each flip moves it >= 2**15 ms
+        flipped = bytearray(report)
+        flipped[i] ^= 0x80
+        kind, _ = validate_report(b, ID_A, bytes(flipped))
+        assert kind is OutcomeKind.ABORT_EXPIRED_REPORT
     for i in range(16, 48):  # ciphertext body
         flipped = bytearray(report)
         flipped[i] ^= 0x80

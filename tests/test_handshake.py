@@ -287,6 +287,26 @@ def test_cached_stale_report_rejected(protocol_lab, tiny_cfg):
     assert not out.adversary_win
 
 
+def test_future_timestamp_forgery_rejected(protocol_lab, tiny_cfg):
+    # a compromised normal world flips IV byte 5 of a stale sealed report,
+    # which moves t_ms 2**56 ms into the future
+    initiator, responder, clock, _, _ = protocol_lab
+    from attestlab.attestor import SAFE, encode_report
+    key = initiator.ctx.inner_key(responder.id)
+    wins = 0
+    for _ in range(4):
+        forged = bytearray(encode_report(initiator.ctx, responder.id, SAFE))
+        clock.advance(tiny_cfg.expiry_ms + 1)
+        forged[5] ^= 0x01
+        t_ms = int.from_bytes(sc.dec(bytes(forged), key)[5:13], "big")
+        assert t_ms - clock.now() > 2 ** 55
+        out = hs.run_session(initiator, responder,
+                             report_override=bytes(forged))
+        assert out.verdict == "failed:%s" % hs.REPORT_EXPIRED
+        wins += int(out.adversary_win)
+    assert wins == 0
+
+
 def test_unsafe_sender_rejected(protocol_lab, bundle, tiny_cfg):
     _, responder, clock, keystore, _ = protocol_lab
     unsafe_dev = hs.Device(

@@ -1,8 +1,11 @@
 """Crypto plumbing: AES-CBC framing, HMAC tags, randomness, clocks, keys."""
 
 import hashlib
+import random
 
 import pytest
+from cryptography.hazmat.primitives import padding
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from attestlab import secure_channel as sc
 
@@ -17,6 +20,36 @@ def _hmac_sha256_by_construction(key: bytes, message: bytes) -> bytes:
     opad = bytes(b ^ 0x5c for b in block)
     inner = hashlib.sha256(ipad + message).digest()
     return hashlib.sha256(opad + inner).digest()
+
+
+class _FixedIv:
+    """Stub rng whose bytes() hands out a chosen IV."""
+
+    def __init__(self, iv: bytes):
+        self.iv = iv
+
+    def bytes(self, n: int) -> bytes:
+        assert n == len(self.iv)
+        return self.iv
+
+
+def _ref_enc(plaintext: bytes, key: bytes, iv: bytes) -> bytes:
+    """Library CBC mode with a fresh cipher per message."""
+    padder = padding.PKCS7(128).padder()
+    padded = padder.update(plaintext) + padder.finalize()
+    encryptor = Cipher(algorithms.AES(key), modes.CBC(iv)).encryptor()
+    return iv + encryptor.update(padded) + encryptor.finalize()
+
+
+def _ref_dec(blob: bytes, key: bytes):
+    """Library CBC-mode plaintext of a well-formed blob, or None on a bad pad."""
+    decryptor = Cipher(algorithms.AES(key), modes.CBC(blob[:16])).decryptor()
+    padded = decryptor.update(blob[16:]) + decryptor.finalize()
+    unpadder = padding.PKCS7(128).unpadder()
+    try:
+        return unpadder.update(padded) + unpadder.finalize()
+    except ValueError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +99,66 @@ def test_enc_dec_roundtrip_all_small_lengths():
             assert len(blob) % 16 == 0
             assert len(blob) >= len(pt) + sc.IV_LEN + 1  # padding present
             assert sc.dec(blob, KEY_A) == pt
+
+
+def test_cbc_known_answer_sp800_38a():
+    # NIST SP 800-38A F.2.1 (CBC-AES128.Encrypt) and F.2.2 (.Decrypt)
+    key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+    iv = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+    plain = bytes.fromhex(
+        "6bc1bee22e409f96e93d7e117393172a" "ae2d8a571e03ac9c9eb76fac45af8e51"
+        "30c81c46a35ce411e5fbc1191a0a52ef" "f69f2445df4f9b17ad2b417be66c3710")
+    blob = sc.enc(plain, key, _FixedIv(iv))
+    assert blob[:16] == iv
+    assert blob[16:80].hex() == (
+        "7649abac8119b246cee98e9b12e9197d" "5086cb9b507219ee95db113a917678b2"
+        "73bed6b8e3c1743b7116e69e22229516" "3ff1caa1681fac09120eca307586e1a7")
+    assert len(blob) == 16 + 80  # a whole PKCS#7 block follows
+    assert sc.dec(blob, key) == plain
+
+
+def test_cbc_matches_library_mode_with_interleaved_keys():
+    g = random.Random(20)
+    keys = [g.randbytes(16) for _ in range(4)]
+    for n in range(101):
+        for k in (n % 4, (n * 3 + 1) % 4, (n + 2) % 4):
+            key, iv, pt = keys[k], g.randbytes(16), g.randbytes(n)
+            blob = sc.enc(pt, key, _FixedIv(iv))
+            assert blob == _ref_enc(pt, key, iv)
+            assert sc.dec(blob, key) == pt
+
+
+def test_dec_matches_library_mode_on_bit_flips():
+    g = random.Random(21)
+    keys = [g.randbytes(16) for _ in range(3)]
+    outcomes = set()
+    for trial in range(600):
+        key = keys[trial % 3]
+        pt = g.randbytes(g.randrange(0, 100))
+        buf = bytearray(_ref_enc(pt, key, g.randbytes(16)))
+        bit = g.randrange(8 * len(buf))
+        buf[bit // 8] ^= 1 << (bit % 8)
+        want = _ref_dec(bytes(buf), key)
+        outcomes.add(want is None)
+        if want is None:
+            with pytest.raises(sc.DecryptError, match="bad padding"):
+                sc.dec(bytes(buf), key)
+        else:
+            assert sc.dec(bytes(buf), key) == want
+    assert outcomes == {True, False}  # both garbled text and bad pads seen
+
+
+def test_block_context_cache_stays_bounded():
+    bound = sc._aes_blocks.cache_info().maxsize
+    g = random.Random(22)
+    first = g.randbytes(16)
+    blob = sc.enc(b"evicted and rebuilt", first, sc.RandomSource(0))
+    rng = sc.RandomSource(1)
+    for _ in range(bound + 10):
+        key = g.randbytes(16)
+        assert sc.dec(sc.enc(b"x", key, rng), key) == b"x"
+    assert sc._aes_blocks.cache_info().currsize == bound
+    assert sc.dec(blob, first) == b"evicted and rebuilt"
 
 
 def test_enc_uses_fresh_ivs():
