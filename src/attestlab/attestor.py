@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from . import secure_channel as sc
 from .quantize import QuantizedModel, q_reconstruct
 from .autoenc import reconstruction_error
-from .trace import aggregate
+from .trace import aggregate_many
 
 DEVICE_ID_LEN = 4
 REPORT_PLAIN_LEN = DEVICE_ID_LEN + 1 + 8 + sc.NONCE_LEN  # 29
@@ -63,7 +63,7 @@ class AttestationContext:
     inner_keys: dict          # peer_id -> 16-byte report key
     clock: object             # .now() in ms
     rng: sc.RandomSource
-    sram_view: object         # callable -> SramTrace (fresh evidence)
+    sram_view: object         # callable -> uint8 SRAM row (fresh evidence)
     agg_width: int = 4
     expiry_ms: int = DEFAULT_EXPIRY_MS
     counters: dict = field(default_factory=lambda: {
@@ -94,9 +94,9 @@ class AttestationContext:
 
 def self_attest(ctx: AttestationContext):
     """Fresh SRAM read, aggregate, reconstruct; returns (verdict, error)."""
-    trace = ctx.sram_view()
+    row = ctx.sram_view()
     length = ctx.qmodel.input_dim * ctx.agg_width
-    features = aggregate(trace, s=ctx.agg_width, length=length)
+    features = aggregate_many(row, s=ctx.agg_width, length=length)
     ctx.counters["inference"] += 1
     err = float(reconstruction_error(features, q_reconstruct(ctx.qmodel,
                                                              features)))

@@ -69,13 +69,14 @@ def _base_meta(cfg: ExperimentConfig) -> dict:
 
 
 def _dataset_from_csv(path, cfg: ExperimentConfig) -> trace.Dataset:
-    traces = trace.import_traces(path)
-    safe = [t for t in traces if t.label == "safe"]
-    unsafe = [t for t in traces if t.label == "unsafe"]
-    if not safe:
+    batch = trace.import_traces(path)
+    safe = batch.labels == "safe"
+    if not safe.any():
         raise ValueError("trace file %s has no safe traces" % path)
+    features = trace.aggregate_many(batch.data, cfg.agg_width,
+                                    cfg.data_section_len)
     return trace.build_dataset(
-        safe, unsafe, s=cfg.agg_width, length=cfg.data_section_len,
+        features[safe], features[~safe],
         ratios=cfg.ratios, n_f=cfg.noise_factor,
         seed=derive_seed(cfg.seed, "cli-dataset"))
 
@@ -194,7 +195,8 @@ def _attest_context(args, cfg: ExperimentConfig):
     counter = itertools.count(args.start_step)
 
     def sram_view():
-        return trace.sample_trace(profile, device_seed, next(counter))
+        return trace.sample_traces(profile, device_seed,
+                                   [next(counter)]).data[0]
 
     ctx = AttestationContext(
         self_id=self_id, qmodel=cont.qmodel, t_opt=cont.calibration.t_opt,

@@ -116,7 +116,6 @@ class FirmwareBundle:
     qmodel: quantize.QuantizedModel
     calibration: threshold.CalibrationResult
     safe_features: np.ndarray
-    unsafe_features: np.ndarray
     step_perm: np.ndarray
     corpus_size: int
 
@@ -153,6 +152,14 @@ def layout_spec(cfg: ExperimentConfig) -> trace.LayoutSpec:
         fill_fraction=cfg.fill_fraction)
 
 
+def _features(cfg: ExperimentConfig, profile: trace.FirmwareProfile,
+              device_seed: int, time_steps) -> np.ndarray:
+    """Block-mean features of the data sections sampled at time_steps."""
+    batch = trace.sample_traces(profile, device_seed, time_steps)
+    return trace.aggregate_many(batch.data, cfg.agg_width,
+                                cfg.data_section_len)
+
+
 def q_errors(qmodel: quantize.QuantizedModel, features: np.ndarray):
     """Per-sample reconstruction error through the integer model."""
     recon = quantize.q_reconstruct(qmodel, features)
@@ -173,20 +180,18 @@ def prepare_firmware(cfg: ExperimentConfig, fw_index: int,
     perm_rng = np.random.default_rng(derive_seed(fw_seed, "steps"))
     step_perm = perm_rng.permutation(horizon)
     steps = np.sort(step_perm[:cfg.safe_traces])
-    safe = trace.sample_traces(profile, device_seed, steps)
-    unsafe = []
+    safe = _features(cfg, profile, device_seed, steps)
+    unsafe = [np.zeros((0, cfg.feature_dim))]
     for m_idx, mp in enumerate(mutants):
         m_dev = derive_seed(fw_seed, "device", 0, "mutant", m_idx)
         m_rng = np.random.default_rng(derive_seed(fw_seed, "mutant-steps",
                                                   m_idx))
         m_steps = m_rng.choice(steps, size=cfg.traces_per_mutant,
                                replace=False)
-        unsafe.extend(trace.sample_traces(mp, m_dev, np.sort(m_steps)))
+        unsafe.append(_features(cfg, mp, m_dev, np.sort(m_steps)))
 
     ds = trace.build_dataset(
-        safe, unsafe,
-        s=cfg.agg_width,
-        length=cfg.data_section_len,
+        safe, np.concatenate(unsafe),
         ratios=cfg.ratios,
         n_f=cfg.noise_factor,
         seed=derive_seed(fw_seed, "dataset"))
@@ -200,14 +205,8 @@ def prepare_firmware(cfg: ExperimentConfig, fw_index: int,
     autoenc.train(model, ds.train_noisy, ds.train, tc)
     qmodel = quantize.quantize_model(model, ds.train)
     calib = threshold.calibrate(q_errors(qmodel, ds.val))
-
-    safe_f = trace.aggregate_many(safe, cfg.agg_width, cfg.data_section_len)
-    unsafe_f = (trace.aggregate_many(unsafe, cfg.agg_width,
-                                     cfg.data_section_len)
-                if unsafe else np.zeros((0, cfg.feature_dim)))
     return FirmwareBundle(fw_seed, profile, mutants, ds, model, qmodel,
-                          calib, safe_f, unsafe_f, step_perm,
-                          cfg.safe_traces)
+                          calib, safe, step_perm, cfg.safe_traces)
 
 
 @dataclass
@@ -259,17 +258,14 @@ def run_experiment(cfg: ExperimentConfig,
     results = []
     for i, b in enumerate(bundles):
         neg = q_errors(b.qmodel, b.dataset.test_safe)
-        pos_feats = [b.dataset.test_unsafe] if len(b.dataset.test_unsafe) \
-            else []
+        pos_feats = [b.dataset.test_unsafe]
         for j, other in enumerate(bundles):
-            if j == i:
-                continue
-            pos_feats.append(other.safe_features)
-            if len(other.unsafe_features):
-                pos_feats.append(other.unsafe_features)
-        # rows score independently, so scoring block by block gives the
-        # errors of one stacked matrix without building it
-        pos = np.concatenate([q_errors(b.qmodel, f) for f in pos_feats])
+            if j != i:
+                pos_feats += [other.safe_features, other.dataset.test_unsafe]
+        # rows score independently, so scoring the non-empty blocks one by
+        # one gives the errors of one stacked matrix without building it
+        pos = np.concatenate([q_errors(b.qmodel, f) for f in pos_feats
+                              if len(f)])
         errors = np.concatenate([neg, pos])
         labels = np.concatenate([np.zeros(neg.size, dtype=int),
                                  np.ones(pos.size, dtype=int)])
@@ -314,26 +310,24 @@ def twin_transfer(cfg: ExperimentConfig,
     fw_seed = bundle.firmware_seed
     twin_seed = derive_seed(fw_seed, "device", 1)
     steps = np.sort(bundle.spare_steps(cfg.twin_eval_traces))
-    twin_safe = trace.sample_traces(bundle.profile, twin_seed, steps)
+    twin_safe = _features(cfg, bundle.profile, twin_seed, steps)
 
-    pos_traces = []
+    pos_feats = []
     for m_idx, mp in enumerate(bundle.mutants):
         if mp.mutation is not None and mp.mutation.kind == "tamper_control_flow":
             continue
         m_dev = derive_seed(fw_seed, "device", 1, "mutant", m_idx)
-        pos_traces.extend(trace.sample_traces(
-            mp, m_dev, steps[:cfg.traces_per_mutant]))
+        pos_feats.append(_features(cfg, mp, m_dev,
+                                   steps[:cfg.traces_per_mutant]))
     for k in range(cfg.twin_other_firmware):
         other_seed = derive_seed(cfg.seed, "firmware", cfg.firmware_count + k)
         other = trace.generate_profile(other_seed, layout_spec(cfg))
         o_dev = derive_seed(other_seed, "device", 1)
-        pos_traces.extend(trace.sample_traces(
-            other, o_dev, range(cfg.twin_other_traces)))
+        pos_feats.append(_features(cfg, other, o_dev,
+                                   range(cfg.twin_other_traces)))
 
-    neg = q_errors(bundle.qmodel, trace.aggregate_many(
-        twin_safe, cfg.agg_width, cfg.data_section_len))
-    pos = q_errors(bundle.qmodel, trace.aggregate_many(
-        pos_traces, cfg.agg_width, cfg.data_section_len))
+    neg = q_errors(bundle.qmodel, twin_safe)
+    pos = q_errors(bundle.qmodel, np.concatenate(pos_feats))
     errors = np.concatenate([neg, pos])
     labels = np.concatenate([np.zeros(neg.size, dtype=int),
                              np.ones(pos.size, dtype=int)])

@@ -73,22 +73,22 @@ class SessionState:
 class Device:
     """Simulated device: SRAM view, trusted attestation context, outer keys."""
 
+    POOL_ROWS = 256   # SRAM snapshots sampled per pool refill
+
     def __init__(self, device_id: bytes, profile: FirmwareProfile,
                  device_seed: int, qmodel: QuantizedModel, t_opt: float,
                  keystore: sc.KeyStore, clock, rng: sc.RandomSource,
-                 agg_width: int = 4, expiry_ms: int = DEFAULT_EXPIRY_MS,
-                 start_time_step: int = 0, time_steps=None):
+                 agg_width: int = 4, expiry_ms: int = DEFAULT_EXPIRY_MS, *,
+                 time_steps):
         self.id = bytes(device_id)
         self.profile = profile
         self.device_seed = device_seed
         self.keystore = keystore
-        self._time_step = start_time_step
-        self._steps = None if time_steps is None else \
-            [int(t) for t in time_steps]
-        if self._steps is not None and not self._steps:
-            raise ValueError("time_steps must be non-empty when given")
-        self._step_idx = 0
-        self._pool: list = []
+        self._steps = [int(t) for t in time_steps]
+        if not self._steps:
+            raise ValueError("time_steps must be non-empty")
+        self._reads = 0
+        self._pool = None
         inner = {p: keystore.inner(self.id, p)
                  for p in keystore.peers(self.id)}
         self.ctx = AttestationContext(
@@ -97,16 +97,15 @@ class Device:
             agg_width=agg_width, expiry_ms=expiry_ms)
 
     def _sram_view(self):
-        if not self._pool:
-            if self._steps is not None:
-                steps = [self._steps[(self._step_idx + k) % len(self._steps)]
-                         for k in range(256)]
-                self._step_idx = (self._step_idx + 256) % len(self._steps)
-            else:
-                steps = range(self._time_step, self._time_step + 256)
-                self._time_step += 256
-            self._pool = sample_traces(self.profile, self.device_seed, steps)
-        return self._pool.pop(0)
+        """Read k is the snapshot at time_steps[k % len(time_steps)]."""
+        row = self._reads % self.POOL_ROWS
+        if row == 0:
+            steps = [self._steps[(self._reads + k) % len(self._steps)]
+                     for k in range(self.POOL_ROWS)]
+            self._pool = sample_traces(self.profile, self.device_seed,
+                                       steps).data
+        self._reads += 1
+        return self._pool[row]
 
     def outer_key(self, peer_id: bytes) -> bytes:
         return self.keystore.outer(self.id, peer_id)

@@ -15,7 +15,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,13 +91,18 @@ class FirmwareProfile:
         return "unsafe" if self.mutation is not None else "safe"
 
 
-@dataclass
-class SramTrace:
-    device_id: str
-    firmware_id: str
-    time_step: int
-    label: str
-    data: np.ndarray  # uint8, length = data_section_len + stack_len
+@dataclass(frozen=True, eq=False)
+class TraceBatch:
+    """SRAM snapshots as columns: row i of the (n, width) uint8 `data`
+    matrix was read at time_steps[i]; ids and labels are per-row strings."""
+    data: np.ndarray
+    time_steps: np.ndarray
+    device_ids: np.ndarray
+    firmware_ids: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.data)
 
 
 @dataclass
@@ -107,17 +112,13 @@ class Dataset:
     val: np.ndarray
     test_safe: np.ndarray
     test_unsafe: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 def _kind_widths(generator: np.random.Generator, kind: str) -> int:
+    # other kinds take no draw: one more would shift every later profile field
     if kind == "constant":
         return int(generator.choice([4, 8, 12, 16]))
-    if kind == "counter":
-        return 2
-    if kind == "random_walk":
-        return 2
-    return 2  # flag
+    return 2
 
 
 def _kind_quota(weights, n: int) -> list[int]:
@@ -344,73 +345,43 @@ def _stacks(profile: FirmwareProfile, device_seed: int,
 
 
 def sample_traces(profile: FirmwareProfile, device_seed: int,
-                  time_steps, device_id: str | None = None) -> list[SramTrace]:
+                  time_steps) -> TraceBatch:
     """Sample SRAM snapshots at the given time steps (vectorized)."""
     steps = np.asarray(list(time_steps), dtype=np.int64)
-    if len(steps) == 0:
-        return []
     if (steps < 0).any():
         raise ValueError("time steps must be non-negative")
-    data = _data_sections(profile, steps)
-    stacks = _stacks(profile, device_seed, steps)
-    full = np.concatenate([data, stacks], axis=1)
-    dev_id = device_id or "dev%016x" % (device_seed & (2 ** 64 - 1))
-    label = profile.label
-    return [SramTrace(device_id=dev_id, firmware_id=profile.firmware_id,
-                      time_step=int(t), label=label, data=full[i])
-            for i, t in enumerate(steps)]
+    data = np.concatenate([_data_sections(profile, steps),
+                           _stacks(profile, device_seed, steps)], axis=1)
+    n = len(steps)
+    return TraceBatch(
+        data=data, time_steps=steps,
+        device_ids=np.full(n, "dev%016x" % (device_seed & (2 ** 64 - 1))),
+        firmware_ids=np.full(n, profile.firmware_id),
+        labels=np.full(n, profile.label))
 
 
-def sample_trace(profile: FirmwareProfile, device_seed: int, time_step: int,
-                 device_id: str | None = None) -> SramTrace:
-    """Single snapshot; identical to the batched path at the same step."""
-    return sample_traces(profile, device_seed, [time_step], device_id)[0]
-
-
-def aggregate(values, s: int = 4, length: int | None = None) -> np.ndarray:
-    """Average consecutive s-byte blocks into [0, 1] features.
+def aggregate_many(data, s: int = 4, length: int | None = None) -> np.ndarray:
+    """Average consecutive s-byte blocks of a byte row, or of each row of a
+    2-D batch, into [0, 1] features.
 
     Block i covers bytes [i*s, (i+1)*s); feature = block sum / (255 * s).
     `length` selects the leading byte span to use (defaults to the full
-    buffer) and must be a positive multiple of s.
+    row) and must be a positive multiple of s. Each partial block sum is
+    an integer of at most 255 * s, so the float64 sums are exact.
     """
     if s < 1:
         raise ValueError("block width s must be >= 1")
-    if isinstance(values, SramTrace):
-        values = values.data
-    buf = np.asarray(values)
-    if buf.ndim != 1:
-        raise ValueError("expected a 1-D byte buffer")
-    n = len(buf) if length is None else int(length)
+    buf = np.asarray(data)
+    if buf.ndim not in (1, 2):
+        raise ValueError("expected a byte row or a 2-D batch of rows")
+    n = buf.shape[-1] if length is None else int(length)
     if n < s or n % s != 0:
         raise ValueError("aggregation length %d is not a positive multiple "
                          "of s=%d" % (n, s))
-    if n > len(buf):
+    if n > buf.shape[-1]:
         raise ValueError("aggregation length exceeds trace length")
-    blocks = buf[:n].astype(np.float64).reshape(n // s, s)
-    return blocks.sum(axis=1) / (255.0 * s)
-
-
-def aggregate_many(traces, s: int = 4, length: int | None = None) -> np.ndarray:
-    """aggregate() of each trace as the rows of an (n, l) matrix.
-
-    Block sums are taken on the integer bytes and are exact, so each row
-    equals aggregate() of its trace bit for bit.
-    """
-    if not traces:
-        return np.zeros((0, 0))
-    if s < 1:
-        raise ValueError("block width s must be >= 1")
-    stop = None if length is None else int(length)
-    data = np.stack([np.asarray(t.data if isinstance(t, SramTrace) else t)
-                     [:stop] for t in traces])
-    rows, n = data.shape
-    if stop is not None and n < stop:
-        raise ValueError("aggregation length exceeds trace length")
-    if n < s or n % s != 0:
-        raise ValueError("aggregation length %d is not a positive multiple "
-                         "of s=%d" % (n, s))
-    return data.reshape(rows, n // s, s).sum(axis=2) / (255.0 * s)
+    blocks = buf[..., :n].reshape(buf.shape[:-1] + (n // s, s))
+    return blocks.sum(axis=-1, dtype=np.float64) / (255.0 * s)
 
 
 def inject_noise(x: np.ndarray, n_f: float, seed: int) -> np.ndarray:
@@ -422,22 +393,20 @@ def inject_noise(x: np.ndarray, n_f: float, seed: int) -> np.ndarray:
     return x + n_f * eps
 
 
-def build_dataset(safe_traces, unsafe_traces=(), *, s: int = 4,
-                  length: int | None = None,
+def build_dataset(safe: np.ndarray, unsafe: np.ndarray | None = None, *,
                   ratios: tuple[float, float, float] = (0.5, 0.25, 0.25),
                   n_f: float = 0.05, seed: int = 0) -> Dataset:
-    """Aggregate, shuffle, and split safe traces; all unsafe go to test.
+    """Shuffle and split safe feature rows; all unsafe rows go to test.
 
     Split sizes are floor(r * n) for train and val, remainder to test.
     """
     if len(ratios) != 3 or any(r <= 0 for r in ratios) \
             or abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError("ratios must be three positive numbers summing to 1")
-    if len(safe_traces) < 8:
+    if len(safe) < 8:
         raise ValueError("need at least 8 safe traces to split")
-    safe = aggregate_many(safe_traces, s=s, length=length)
-    unsafe = aggregate_many(unsafe_traces, s=s, length=length) \
-        if len(unsafe_traces) else np.zeros((0, safe.shape[1]))
+    if unsafe is None:
+        unsafe = np.zeros((0, safe.shape[1]))
     order = np.random.default_rng(derive_seed(seed, "split")).permutation(
         len(safe))
     safe = safe[order]
@@ -450,10 +419,8 @@ def build_dataset(safe_traces, unsafe_traces=(), *, s: int = 4,
     val = safe[n_train:n_train + n_val]
     test_safe = safe[n_train + n_val:]
     train_noisy = inject_noise(train, n_f, derive_seed(seed, "noise"))
-    meta = {"s": s, "ratios": tuple(ratios), "n_f": n_f, "seed": seed,
-            "n_safe": n, "n_unsafe": len(unsafe)}
     return Dataset(train=train, train_noisy=train_noisy, val=val,
-                   test_safe=test_safe, test_unsafe=unsafe, meta=meta)
+                   test_safe=test_safe, test_unsafe=unsafe)
 
 
 # ---------------------------------------------------------------------------
@@ -509,28 +476,27 @@ def load_profile(path) -> FirmwareProfile:
         return profile_from_dict(json.load(f))
 
 
-def export_traces(path, traces: list[SramTrace], meta: dict | None = None):
+def export_traces(path, batch: TraceBatch, meta: dict | None = None):
     """Write traces as CSV: device_id,firmware_id,time_step,label,b0,...
 
     Optional meta entries go into leading '# key=value' comment lines.
     """
-    if not traces:
+    if not len(batch):
         raise ValueError("no traces to export")
-    width = len(traces[0].data)
+    width = batch.data.shape[1]
     with open(path, "w", encoding="utf-8", newline="") as f:
         for k in sorted(meta or {}):
             f.write("# %s=%s\n" % (k, (meta or {})[k]))
         w = csv.writer(f)
         w.writerow(["device_id", "firmware_id", "time_step", "label"]
                    + ["b%d" % i for i in range(width)])
-        for t in traces:
-            if len(t.data) != width:
-                raise ValueError("inconsistent trace lengths")
-            w.writerow([t.device_id, t.firmware_id, t.time_step, t.label]
-                       + [int(b) for b in t.data])
+        for dev, fw, step, label, row in zip(
+                batch.device_ids, batch.firmware_ids,
+                batch.time_steps.tolist(), batch.labels, batch.data.tolist()):
+            w.writerow([dev, fw, step, label] + row)
 
 
-def import_traces(path) -> list[SramTrace]:
+def import_traces(path) -> TraceBatch:
     """Read a trace CSV; raises ValueError naming the offending line."""
     with open(path, encoding="utf-8", newline="") as f:
         lineno = 0
@@ -545,7 +511,7 @@ def import_traces(path) -> list[SramTrace]:
         width = len(header) - 4
         if width < 1 or header[4:] != ["b%d" % i for i in range(width)]:
             raise ValueError("line %d: bad byte column names" % lineno)
-        traces = []
+        fields, rows = [], []
         for row in csv.reader(f):
             lineno += 1
             if len(row) != 4 + width:
@@ -570,7 +536,11 @@ def import_traces(path) -> list[SramTrace]:
             except OverflowError:
                 raise ValueError("line %d: byte value out of range 0..255"
                                  % lineno) from None
-            traces.append(SramTrace(device_id=row[0], firmware_id=row[1],
-                                    time_step=step, label=row[3],
-                                    data=data.astype(np.uint8)))
-    return traces
+            fields.append((row[0], row[1], step, row[3]))
+            rows.append(data)
+    device_ids, firmware_ids, steps, labels = \
+        np.array(fields, dtype=object).reshape(len(fields), 4).T
+    return TraceBatch(
+        data=np.array(rows, dtype=np.uint8).reshape(len(rows), width),
+        time_steps=steps.astype(np.int64), device_ids=device_ids.astype(str),
+        firmware_ids=firmware_ids.astype(str), labels=labels.astype(str))

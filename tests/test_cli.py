@@ -3,10 +3,12 @@
 import argparse
 import json
 
+import numpy as np
 import pytest
 
 from attestlab import attestor, cli, model_io, trace
 from attestlab.config import config_digest, load_config
+from attestlab.seeds import derive_seed
 
 CFG_TEXT = """\
 # small pipeline for fast tests
@@ -77,14 +79,14 @@ def test_gen_writes_profile_and_corpora(pipeline):
     assert profile.data_section_len == 256
     traces = trace.import_traces(str(pipeline["safe_csv"]))
     assert len(traces) == pipeline["cfg"].safe_traces
-    assert all(t.label == "safe" for t in traces)
+    assert (traces.labels == "safe").all()
     mutant_csvs = sorted(p.name for p in fw_dir.glob("*.csv")
                          if p.name != "safe.csv")
     assert len(mutant_csvs) == N_MUTANTS
     assert len(list(fw_dir.glob("*_profile.json"))) == N_MUTANTS
     one = trace.import_traces(str(fw_dir / mutant_csvs[0]))
     assert len(one) == pipeline["cfg"].traces_per_mutant
-    assert all(t.label == "unsafe" for t in one)
+    assert (one.labels == "unsafe").all()
 
 
 def test_gen_rejects_out_of_range_firmware(pipeline, capsys):
@@ -104,6 +106,38 @@ def test_gen_is_reproducible(pipeline, tmp_path):
     first = (pipeline["fw_dir"] / "profile.json").read_bytes()
     assert first == (tmp_path / "a" / "gen" / "fw0" / "profile.json"
                      ).read_bytes()
+
+
+def test_dataset_from_csv_reads_mixed_labels_in_file_order(pipeline,
+                                                           tmp_path):
+    cfg = pipeline["cfg"]
+    safe = trace.import_traces(str(pipeline["safe_csv"]))
+    unsafe = trace.import_traces(str(pipeline["fw_dir"] / "tamper_data_1.csv"))
+    # unsafe row k follows safe row 2k + 1
+    slots = np.concatenate([np.arange(len(safe)),
+                            2 * np.arange(len(unsafe)) + 1.5])
+    order = np.argsort(slots, kind="stable")
+    mixed = trace.TraceBatch(**{
+        c: np.concatenate([getattr(safe, c), getattr(unsafe, c)])[order]
+        for c in ("data", "time_steps", "device_ids", "firmware_ids",
+                  "labels")})
+    path = tmp_path / "mixed.csv"
+    trace.export_traces(path, mixed)
+    assert trace.import_traces(path).labels[:6].tolist() == \
+        ["safe", "safe", "unsafe", "safe", "safe", "unsafe"]
+
+    got = cli._dataset_from_csv(str(path), cfg)
+
+    def features(batch):
+        return trace.aggregate_many(batch.data, cfg.agg_width,
+                                    cfg.data_section_len)
+
+    want = trace.build_dataset(features(safe), features(unsafe),
+                               ratios=cfg.ratios, n_f=cfg.noise_factor,
+                               seed=derive_seed(cfg.seed, "cli-dataset"))
+    assert len(got.test_unsafe) == len(unsafe)
+    for name in ("train", "train_noisy", "val", "test_safe", "test_unsafe"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 # --------------------------------------------- train / quantize / calibrate

@@ -241,8 +241,23 @@ def test_bundle_dataset_and_feature_shapes(bundle, tiny_cfg):
     assert ds.test_unsafe.shape[0] == n_mutants * tiny_cfg.traces_per_mutant
     assert ds.train.shape[1] == tiny_cfg.feature_dim
     assert bundle.safe_features.shape == (n, tiny_cfg.feature_dim)
-    assert bundle.unsafe_features.shape == (ds.test_unsafe.shape[0],
-                                            tiny_cfg.feature_dim)
+    assert ds.test_unsafe.shape[1] == tiny_cfg.feature_dim
+
+
+def test_prepare_firmware_aggregates_each_row_once(monkeypatch, tiny_cfg):
+    calls, rows = [], []
+    original = trace.aggregate_many
+
+    def counting(data, *args, **kwargs):
+        calls.append(data.ndim)
+        rows.append(len(data))
+        return original(data, *args, **kwargs)
+
+    monkeypatch.setattr(trace, "aggregate_many", counting)
+    b = evalkit.prepare_firmware(tiny_cfg, 0)
+    assert set(calls) == {2}
+    assert sum(rows) == (tiny_cfg.safe_traces
+                         + len(b.mutants) * tiny_cfg.traces_per_mutant)
 
 
 def test_bundle_calibration_is_consistent(bundle):
@@ -293,7 +308,7 @@ def test_run_experiment_population_counts(experiment, two_bundles):
         other = two_bundles[1 - i]
         n_pos = (b.dataset.test_unsafe.shape[0]
                  + other.safe_features.shape[0]
-                 + other.unsafe_features.shape[0])
+                 + other.dataset.test_unsafe.shape[0])
         n_neg = b.dataset.test_safe.shape[0]
         assert r.metrics.tp + r.metrics.fn == n_pos
         assert r.metrics.tn + r.metrics.fp == n_neg

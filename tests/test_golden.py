@@ -144,10 +144,9 @@ def test_sample_traces_digest(name):
     cfg = ExperimentConfig()
     device_seed = derive_seed(derive_seed(cfg.seed, "firmware", 0),
                               "device", 0)
-    traces = trace.sample_traces(_default_profiles()[name], device_seed,
-                                 range(4000))
-    data = b"".join(t.data.tobytes() for t in traces)
-    assert _sha256(data) == TRACE_DIGESTS[name]
+    batch = trace.sample_traces(_default_profiles()[name], device_seed,
+                                range(4000))
+    assert _sha256(batch.data.tobytes()) == TRACE_DIGESTS[name]
 
 
 def _model_artifacts(arch: str) -> dict:

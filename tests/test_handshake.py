@@ -1,9 +1,11 @@
 """Four-message handshake: honest runs, scripted attacks, transcripts."""
 
+import numpy as np
 import pytest
 
 from attestlab import handshake as hs
 from attestlab import secure_channel as sc
+from attestlab import trace
 from attestlab.seeds import derive_seed
 
 from conftest import INITIATOR_ID, RESPONDER_ID
@@ -119,16 +121,40 @@ def test_device_cycles_given_time_steps(protocol_lab, bundle, tiny_cfg):
                     time_steps=[5])
     a = dev._sram_view()
     b = dev._sram_view()
-    assert a.time_step == 5 and b.time_step == 5
-    assert (a.data == b.data).all()
+    want = trace.sample_traces(bundle.profile, 1234, [5]).data[0]
+    assert np.array_equal(a, want) and np.array_equal(b, want)
+
+
+@pytest.mark.parametrize("n_steps", [5, 300])
+def test_device_pool_reads_rows_cyclically(protocol_lab, bundle, monkeypatch,
+                                           n_steps):
+    _, _, clock, keystore, _ = protocol_lab
+    steps = (np.arange(n_steps) * 7 + 3)[::-1]
+    refills = []
+
+    def counting(*args):
+        refills.append(len(args[2]))
+        return trace.sample_traces(*args)
+
+    monkeypatch.setattr(hs, "sample_traces", counting)
+    dev = hs.Device(INITIATOR_ID, bundle.profile, 99, bundle.qmodel,
+                    bundle.calibration.t_opt, keystore, clock,
+                    sc.RandomSource(0), time_steps=steps)
+    n_reads = 2 * hs.Device.POOL_ROWS + 100   # two refills after the first
+    rows = np.stack([dev._sram_view() for _ in range(n_reads)])
+    want = trace.sample_traces(bundle.profile, 99, steps).data
+    assert np.array_equal(rows, want[np.arange(n_reads) % n_steps])
+    assert refills == [hs.Device.POOL_ROWS] * 3
 
 
 def test_device_rejects_empty_time_steps(protocol_lab, bundle, tiny_cfg):
     _, _, clock, keystore, _ = protocol_lab
+    args = (INITIATOR_ID, bundle.profile, 1, bundle.qmodel,
+            bundle.calibration.t_opt, keystore, clock, sc.RandomSource(0))
     with pytest.raises(ValueError):
-        hs.Device(INITIATOR_ID, bundle.profile, 1, bundle.qmodel,
-                  bundle.calibration.t_opt, keystore, clock,
-                  sc.RandomSource(0), time_steps=[])
+        hs.Device(*args, time_steps=[])
+    with pytest.raises(TypeError):   # no stepping mode without steps
+        hs.Device(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +353,7 @@ def test_record_honest_session_raises_when_blocked(protocol_lab, bundle,
     lonely = sc.KeyStore()  # no provisioned pairs at all
     dev = hs.Device(INITIATOR_ID, bundle.profile, 77, bundle.qmodel,
                     bundle.calibration.t_opt, lonely, clock,
-                    sc.RandomSource(0), agg_width=tiny_cfg.agg_width)
+                    sc.RandomSource(0), agg_width=tiny_cfg.agg_width,
+                    time_steps=bundle.spare_steps(tiny_cfg.twin_eval_traces))
     with pytest.raises(RuntimeError, match="did not complete"):
         hs.record_honest_session(dev, responder)

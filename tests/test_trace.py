@@ -18,6 +18,13 @@ def _profile(seed=7, spec=SPEC):
     return trace.generate_profile(seed, spec)
 
 
+def _features(p, device_seed, steps):
+    """s = 4 block means of the data sections sampled at steps."""
+    return trace.aggregate_many(
+        trace.sample_traces(p, device_seed, steps).data, s=4,
+        length=p.data_section_len)
+
+
 # ---------------------------------------------------------------------------
 # profile generation
 
@@ -161,34 +168,47 @@ def test_mutate_profile_validates_inputs():
 
 def test_sample_trace_deterministic():
     prof = _profile()
-    t1 = trace.sample_trace(prof, device_seed=42, time_step=17)
-    t2 = trace.sample_trace(prof, device_seed=42, time_step=17)
+    t1 = trace.sample_traces(prof, device_seed=42, time_steps=[17])
+    t2 = trace.sample_traces(prof, device_seed=42, time_steps=[17])
     assert np.array_equal(t1.data, t2.data)
-    assert t1.label == "safe"
-    assert len(t1.data) == prof.total_len
+    assert t1.data.shape == (1, prof.total_len)
+    assert t1.data.dtype == np.uint8
+    assert list(t1.labels) == ["safe"]
 
 
 def test_sample_trace_matches_batched_sampling():
     prof = _profile()
     batch = trace.sample_traces(prof, 42, [3, 9, 21])
-    single = trace.sample_trace(prof, 42, 9)
-    assert np.array_equal(batch[1].data, single.data)
+    single = trace.sample_traces(prof, 42, [9])
+    assert np.array_equal(batch.data[1], single.data[0])
+
+
+def test_sample_traces_fills_columns():
+    prof = _profile()
+    mut = trace.mutate_profile(prof, "tamper_data", 1.0, 3)
+    batch = trace.sample_traces(mut, 42, [8, 2, 5])
+    assert len(batch) == 3
+    assert batch.time_steps.tolist() == [8, 2, 5]
+    assert batch.device_ids.tolist() == ["dev%016x" % 42] * 3
+    assert batch.firmware_ids.tolist() == [mut.firmware_id] * 3
+    assert batch.labels.tolist() == ["unsafe"] * 3
+    empty = trace.sample_traces(prof, 42, [])
+    assert len(empty) == 0 and empty.data.shape == (0, prof.total_len)
 
 
 def test_twins_share_data_section_and_differ_on_stack():
     prof = _profile()
-    a = trace.sample_trace(prof, device_seed=1, time_step=0)
-    b = trace.sample_trace(prof, device_seed=2, time_step=0)
+    a = trace.sample_traces(prof, device_seed=1, time_steps=[0]).data[0]
+    b = trace.sample_traces(prof, device_seed=2, time_steps=[0]).data[0]
     L = prof.data_section_len
-    assert np.array_equal(a.data[:L], b.data[:L])
-    stack_diff = np.mean(a.data[L:] != b.data[L:])
+    assert np.array_equal(a[:L], b[:L])
+    stack_diff = np.mean(a[L:] != b[L:])
     assert stack_diff >= 0.40
 
 
 def test_counters_advance_and_constants_hold():
     prof = _profile()
-    t0 = trace.sample_trace(prof, 1, 0).data
-    t1 = trace.sample_trace(prof, 1, 1).data
+    t0, t1 = trace.sample_traces(prof, 1, [0, 1]).data
     for v in prof.variables:
         sl = slice(v.offset, v.offset + v.width)
         if v.kind == "constant":
@@ -203,8 +223,7 @@ def test_random_walk_steps_are_clipped_unit_moves():
     walks = [v for v in prof.variables if v.kind == "random_walk"]
     assert walks
     steps = list(range(64))
-    traces = trace.sample_traces(prof, 1, steps)
-    data = np.stack([t.data for t in traces]).astype(int)
+    data = trace.sample_traces(prof, 1, steps).data.astype(int)
     for v in walks:
         path = data[:, v.offset:v.offset + v.width]
         deltas = np.diff(path, axis=0)
@@ -285,8 +304,7 @@ def test_sample_traces_independent_of_batching_and_memo():
     mutant = trace.mutate_profile(prof, "tamper_function", 1.0, 4)
 
     def sample(p, steps):
-        return b"".join(t.data.tobytes()
-                        for t in trace.sample_traces(p, 9, steps))
+        return trace.sample_traces(p, 9, steps).data.tobytes()
 
     for p in (prof, mutant):
         trace._walk_path.cache_clear()
@@ -310,8 +328,7 @@ def test_separation_mutants_vs_safe_spread():
     # cloud than the 99th percentile of safe-to-safe distances
     prof = _profile()
     steps = range(200)
-    safe = trace.aggregate_many(trace.sample_traces(prof, 1, steps),
-                                s=4, length=prof.data_section_len)
+    safe = _features(prof, 1, steps)
     g = np.random.default_rng(0)
     i = g.integers(0, len(safe), 4000)
     j = g.integers(0, len(safe), 4000)
@@ -321,9 +338,7 @@ def test_separation_mutants_vs_safe_spread():
     for kind in ("tamper_data", "tamper_function", "data_injection"):
         for sev in (0.25, 0.5, 1.0):
             mp = trace.mutate_profile(prof, kind, sev, 7)
-            mut = trace.aggregate_many(
-                trace.sample_traces(mp, 2, steps),
-                s=4, length=prof.data_section_len)
+            mut = _features(mp, 2, steps)
             mean_d = np.linalg.norm(
                 mut[:, None, :] - safe[None, ::10, :], axis=2).mean()
             assert mean_d > p99, (kind, sev)
@@ -332,13 +347,10 @@ def test_separation_mutants_vs_safe_spread():
 def test_mutant_distance_exceeds_twin_distance():
     prof = _profile()
     steps = range(50)
-    base = trace.aggregate_many(trace.sample_traces(prof, 1, steps), s=4,
-                                length=prof.data_section_len)
-    twin = trace.aggregate_many(trace.sample_traces(prof, 2, steps), s=4,
-                                length=prof.data_section_len)
-    mut_prof = trace.mutate_profile(prof, "tamper_data", 1.0, 3)
-    mut = trace.aggregate_many(trace.sample_traces(mut_prof, 2, steps), s=4,
-                               length=prof.data_section_len)
+    base = _features(prof, 1, steps)
+    twin = _features(prof, 2, steps)
+    mut = _features(trace.mutate_profile(prof, "tamper_data", 1.0, 3), 2,
+                    steps)
     twin_d = np.linalg.norm(base - twin, axis=1).mean()
     mut_d = np.linalg.norm(base - mut, axis=1).mean()
     assert twin_d == 0.0  # data sections are device independent
@@ -348,37 +360,48 @@ def test_mutant_distance_exceeds_twin_distance():
 # ---------------------------------------------------------------------------
 # aggregation
 
+def _aggregate_oracle(values, s, length=None):
+    """Reference: float64 block means of one byte row, summed as floats."""
+    buf = np.asarray(values)
+    n = len(buf) if length is None else length
+    blocks = buf[:n].astype(np.float64).reshape(n // s, s)
+    return blocks.sum(axis=1) / (255.0 * s)
+
+
 def test_aggregate_extremes():
-    out = trace.aggregate(np.array([0, 0, 0, 0, 255, 255, 255, 255],
-                                   dtype=np.uint8), s=4)
+    out = trace.aggregate_many(np.array([0, 0, 0, 0, 255, 255, 255, 255],
+                                        dtype=np.uint8), s=4)
     assert np.allclose(out, [0.0, 1.0])
 
 
 def test_aggregate_hand_value():
-    out = trace.aggregate(np.array([10, 20, 30, 40], dtype=np.uint8), s=4)
+    out = trace.aggregate_many(np.array([10, 20, 30, 40], dtype=np.uint8),
+                               s=4)
     assert out.shape == (1,)
     assert out[0] == pytest.approx(100.0 / 1020.0)
 
 
 def test_aggregate_s1_identity_scaling():
     buf = np.arange(16, dtype=np.uint8)
-    assert np.allclose(trace.aggregate(buf, s=1), buf / 255.0)
+    assert np.allclose(trace.aggregate_many(buf, s=1), buf / 255.0)
 
 
 def test_aggregate_constant_block_exact():
     buf = np.full(12, 77, dtype=np.uint8)
-    assert np.allclose(trace.aggregate(buf, s=4), 77.0 / 255.0)
+    assert np.allclose(trace.aggregate_many(buf, s=4), 77.0 / 255.0)
 
 
 def test_aggregate_length_selection_and_errors():
     buf = np.arange(16, dtype=np.uint8)
-    assert trace.aggregate(buf, s=4, length=8).shape == (2,)
+    assert trace.aggregate_many(buf, s=4, length=8).shape == (2,)
+    assert trace.aggregate_many(np.stack([buf, buf]), s=4,
+                                length=8).shape == (2, 2)
     with pytest.raises(ValueError):
-        trace.aggregate(buf, s=4, length=10)   # not a multiple
+        trace.aggregate_many(buf, s=4, length=10)   # not a multiple
     with pytest.raises(ValueError):
-        trace.aggregate(buf, s=4, length=32)   # longer than the buffer
+        trace.aggregate_many(buf, s=4, length=32)   # longer than the buffer
     with pytest.raises(ValueError):
-        trace.aggregate(buf, s=0)
+        trace.aggregate_many(buf, s=0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -389,46 +412,59 @@ def test_aggregate_bounds_property(raw, s):
     n = (len(raw) // s) * s
     if n == 0:
         return
-    out = trace.aggregate(np.array(raw[:n], dtype=np.uint8), s=s)
+    out = trace.aggregate_many(np.array(raw[:n], dtype=np.uint8), s=s)
     assert out.shape == (n // s,)
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
 def test_aggregate_many_stacks_rows():
     prof = _profile()
-    traces = trace.sample_traces(prof, 1, range(5))
-    m = trace.aggregate_many(traces, s=4, length=prof.data_section_len)
+    data = trace.sample_traces(prof, 1, range(5)).data
+    m = trace.aggregate_many(data, s=4, length=prof.data_section_len)
     assert m.shape == (5, prof.data_section_len // 4)
-    assert np.array_equal(m[2], trace.aggregate(traces[2], s=4,
-                                                length=prof.data_section_len))
+    assert np.array_equal(m[2], trace.aggregate_many(
+        data[2], s=4, length=prof.data_section_len))
 
 
 @pytest.mark.parametrize("s", [1, 4, 8])
 def test_aggregate_many_matches_aggregate_on_mixed_lengths(s):
-    # a control-flow mutant's stack makes its traces longer than the safe
+    # a control-flow mutant's stack makes its rows longer than the safe
     # profile's; only the leading data section is aggregated
     prof = _profile()
     mut = trace.mutate_profile(prof, "tamper_control_flow", 0.5, 0)
-    traces = trace.sample_traces(prof, 1, range(3)) \
-        + trace.sample_traces(mut, 1, range(3))
-    assert len({len(t.data) for t in traces}) == 2
-    m = trace.aggregate_many(traces, s=s, length=prof.data_section_len)
-    want = np.stack([trace.aggregate(t, s=s, length=prof.data_section_len)
-                     for t in traces])
-    assert m.dtype == np.float64
-    assert m.tobytes() == want.tobytes()
+    L = prof.data_section_len
+    for p in (prof, mut):
+        data = trace.sample_traces(p, 1, range(3)).data
+        want = np.stack([_aggregate_oracle(row, s, L) for row in data])
+        got = trace.aggregate_many(data, s=s, length=L)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        for row in data:
+            assert trace.aggregate_many(row, s=s, length=L).tobytes() \
+                == _aggregate_oracle(row, s, L).tobytes()
+        # past the data section, into the stack
+        n = data.shape[1] // s * s
+        assert trace.aggregate_many(data, s=s, length=n).tobytes() \
+            == np.stack([_aggregate_oracle(r, s, n) for r in data]).tobytes()
+    assert mut.total_len > prof.total_len
 
 
 def test_aggregate_many_errors():
-    traces = trace.sample_traces(_profile(), 1, range(2))
-    n = len(traces[0].data)
-    assert trace.aggregate_many([], s=4).shape == (0, 0)
-    assert trace.aggregate_many(traces, s=4).shape == (2, n // 4)
-    for bad in (dict(s=0), dict(s=4, length=10), dict(s=4, length=n + 4)):
-        with pytest.raises(ValueError):
-            trace.aggregate_many(traces, **bad)
-    with pytest.raises(ValueError):  # unequal lengths and no span given
-        trace.aggregate_many([traces[0], traces[1].data[:-4]], s=4)
+    batch = trace.sample_traces(_profile(), 1, range(2)).data
+    n = batch.shape[1]
+    assert trace.aggregate_many(batch, s=4).shape == (2, n // 4)
+    assert trace.aggregate_many(batch[:0], s=4).shape == (0, n // 4)
+    bad = ((dict(s=0), "s must be"),
+           (dict(s=4, length=10), "not a positive multiple"),
+           (dict(s=4, length=n + 4), "exceeds trace length"))
+    for data in (batch, batch[0]):
+        for kwargs, message in bad:
+            with pytest.raises(ValueError, match=message):
+                trace.aggregate_many(data, **kwargs)
+    with pytest.raises(ValueError):  # neither a row nor a batch of rows
+        trace.aggregate_many(batch[None], s=4)
+    with pytest.raises(ValueError):  # rows of unequal length
+        trace.aggregate_many([batch[0], batch[1][:-4]], s=4)
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +495,8 @@ def test_inject_noise_deterministic_and_pure():
 
 
 def test_build_dataset_split_sizes():
-    prof = _profile()
-    safe = trace.sample_traces(prof, 1, range(100))
-    ds = trace.build_dataset(safe, s=4, length=prof.data_section_len,
-                             seed=4)
+    safe = _features(_profile(), 1, range(100))
+    ds = trace.build_dataset(safe, seed=4)
     assert ds.train.shape[0] == 50
     assert ds.val.shape[0] == 25
     assert ds.test_safe.shape[0] == 25
@@ -472,36 +506,31 @@ def test_build_dataset_split_sizes():
 
 
 def test_build_dataset_rows_are_disjoint_and_deterministic():
-    prof = _profile()
-    safe = trace.sample_traces(prof, 1, range(60))
-    a = trace.build_dataset(safe, s=4, length=prof.data_section_len, seed=4)
-    b = trace.build_dataset(safe, s=4, length=prof.data_section_len, seed=4)
+    safe = _features(_profile(), 1, range(60))
+    a = trace.build_dataset(safe, seed=4)
+    b = trace.build_dataset(safe, seed=4)
     assert np.array_equal(a.train, b.train)
     assert np.array_equal(a.val, b.val)
     all_rows = np.vstack([a.train, a.val, a.test_safe])
-    src = trace.aggregate_many(safe, s=4, length=prof.data_section_len)
-    assert all_rows.shape == src.shape
-    assert np.array_equal(np.sort(all_rows, axis=0), np.sort(src, axis=0))
+    assert all_rows.shape == safe.shape
+    assert np.array_equal(np.sort(all_rows, axis=0), np.sort(safe, axis=0))
 
 
 def test_build_dataset_unsafe_goes_to_test():
     prof = _profile()
     mut = trace.mutate_profile(prof, "tamper_data", 1.0, 1)
-    safe = trace.sample_traces(prof, 1, range(40))
-    unsafe = trace.sample_traces(mut, 1, range(10))
-    ds = trace.build_dataset(safe, unsafe, s=4,
-                             length=prof.data_section_len, seed=4)
+    unsafe = _features(mut, 1, range(10))
+    ds = trace.build_dataset(_features(prof, 1, range(40)), unsafe, seed=4)
     assert ds.test_unsafe.shape[0] == 10
+    assert np.array_equal(ds.test_unsafe, unsafe)
 
 
 def test_build_dataset_validation():
-    prof = _profile()
-    safe = trace.sample_traces(prof, 1, range(20))
+    safe = _features(_profile(), 1, range(20))
     with pytest.raises(ValueError):
-        trace.build_dataset(safe[:4], s=4, length=prof.data_section_len)
+        trace.build_dataset(safe[:4])
     with pytest.raises(ValueError):
-        trace.build_dataset(safe, ratios=(0.5, 0.5, 0.5), s=4,
-                            length=prof.data_section_len)
+        trace.build_dataset(safe, ratios=(0.5, 0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -523,18 +552,55 @@ def test_profile_rejects_unknown_format_version():
 
 def test_trace_csv_roundtrip(tmp_path):
     prof = _profile()
-    traces = trace.sample_traces(prof, 5, range(3))
+    batch = trace.sample_traces(prof, 5, [4, 0, 9])
     path = tmp_path / "t.csv"
-    trace.export_traces(path, traces, meta={"seed": 5})
+    trace.export_traces(path, batch, meta={"seed": 5})
     back = trace.import_traces(path)
     assert len(back) == 3
-    for orig, loaded in zip(traces, back):
-        assert loaded.device_id == orig.device_id
-        assert loaded.firmware_id == orig.firmware_id
-        assert loaded.time_step == orig.time_step
-        assert loaded.label == orig.label
-        assert np.array_equal(loaded.data, orig.data)
+    assert back.data.dtype == np.uint8
+    for col in ("data", "time_steps", "device_ids", "firmware_ids", "labels"):
+        assert np.array_equal(getattr(back, col), getattr(batch, col)), col
     assert path.read_text().startswith("# seed=5\n")
+
+
+def _interleaved(prof):
+    """Safe and tamper_data rows of one width, alternating in file order."""
+    mut = trace.mutate_profile(prof, "tamper_data", 1.0, 1)
+    safe = trace.sample_traces(prof, 1, range(12))
+    unsafe = trace.sample_traces(mut, 2, range(6))
+    order = [k for pair in zip(range(6), range(12, 18)) for k in pair] \
+        + list(range(6, 12))
+    cols = {c: np.concatenate([getattr(safe, c), getattr(unsafe, c)])[order]
+            for c in ("data", "time_steps", "device_ids", "firmware_ids",
+                      "labels")}
+    return trace.TraceBatch(**cols)
+
+
+def test_import_traces_keeps_per_row_labels(tmp_path):
+    batch = _interleaved(_profile())
+    assert batch.labels[:4].tolist() == ["safe", "unsafe", "safe", "unsafe"]
+    path = tmp_path / "mixed.csv"
+    trace.export_traces(path, batch)
+    back = trace.import_traces(path)
+    assert back.labels.tolist() == batch.labels.tolist()
+    assert back.device_ids.tolist() == batch.device_ids.tolist()
+    assert np.array_equal(back.data, batch.data)
+
+
+def test_import_traces_header_only_is_empty_batch(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("# seed=1\n"
+                    "device_id,firmware_id,time_step,label,b0,b1,b2\n")
+    back = trace.import_traces(path)
+    assert len(back) == 0
+    assert back.data.shape == (0, 3) and back.data.dtype == np.uint8
+    assert back.time_steps.shape == back.labels.shape == (0,)
+
+
+def test_export_traces_rejects_empty_batch(tmp_path):
+    with pytest.raises(ValueError, match="no traces"):
+        trace.export_traces(tmp_path / "t.csv",
+                            trace.sample_traces(_profile(), 1, []))
 
 
 def test_import_traces_names_offending_line(tmp_path):
