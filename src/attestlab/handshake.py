@@ -2,18 +2,19 @@
 
 Wire format: every flow carries (sender_id, m, i_tag) where m is AES-128-CBC
 ciphertext under the pair's outer key and i_tag = HMAC-SHA256(m, K) over the
-ciphertext (encrypt-then-MAC). Payloads:
+ciphertext (encrypt-then-MAC). The initiator sends the odd flows, the
+responder the even ones, and one rule lays out every flow k:
 
-    m1 = Enc( ID_i | N1 | R_i )            R_* = 48-byte encrypted report
-    m2 = Enc( ID_j | N1 | N2 | R_j )
-    m3 = Enc( ID_i | N2 | N3 )
-    m4 = Enc( ID_j | N3 | N4 )
+    m_k = Enc( ID | N_{k-1} echo (k > 1) | N_k | R (k <= 2) )
 
-Receivers verify the tag, decrypt, check the embedded identity, check the
-nonce echo, and validate reports through the attestation state machine.
-Every failure is silent and fail-closed: the session ends with a recorded
-reason and no outbound message. A scripted adversary can drop, replay,
-tamper, inject, impersonate, or delay flows; it never reads the key store.
+where R is the sender's 48-byte encrypted attestation report. A session in
+phase START, SENT1, SENT2, SENT3 or SENT4 expects flow 1, 2, 3, 4 or none
+next. The receiver verifies the tag, decrypts, checks the embedded identity,
+checks the echo against the nonce it sent last, validates the report through
+the attestation state machine, then answers with a fresh nonce. Every
+failure is silent and fail-closed: the session ends with a recorded reason
+and no outbound message. A scripted adversary can drop, replay, tamper,
+inject, impersonate, or delay flows; it never reads the key store.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from .attestor import (AttestationContext, ConfigurationError, OutcomeKind,
 from .quantize import QuantizedModel
 from .trace import FirmwareProfile, sample_traces
 
-# session phases
+# session phases; _PHASES[k - 1] is the phase that expects flow k
 START, SENT1, SENT2, SENT3, SENT4, DONE, FAILED = (
     "start", "sent1", "sent2", "sent3", "sent4", "done", "failed")
+_PHASES = (START, SENT1, SENT2, SENT3, SENT4)
 
 # failure reasons
 BAD_HMAC = "bad_hmac"
@@ -46,10 +48,8 @@ _ABORT_REASON = {
     OutcomeKind.SENDER_UNSAFE: PEER_UNSAFE,
 }
 
-_PLAIN_LEN = {1: DEVICE_ID_LEN + sc.NONCE_LEN + REPORT_WIRE_LEN,
-              2: DEVICE_ID_LEN + 2 * sc.NONCE_LEN + REPORT_WIRE_LEN,
-              3: DEVICE_ID_LEN + 2 * sc.NONCE_LEN,
-              4: DEVICE_ID_LEN + 2 * sc.NONCE_LEN}
+_PLAIN_LEN = {k: DEVICE_ID_LEN + (1 + (k > 1)) * sc.NONCE_LEN
+              + (k <= 2) * REPORT_WIRE_LEN for k in (1, 2, 3, 4)}
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,15 @@ def _fail(state: SessionState, reason: str):
     return state, None
 
 
-def _seal(device: Device, state: SessionState, plain: bytes):
+def _send(device: Device, state: SessionState, k: int, report: bytes):
+    """Draw N_k, seal flow k and move to the phase that awaits flow k + 1."""
+    nk = state.nonces["n%d" % k] = device.ctx.fresh_nonce()
+    echo = state.nonces.get("n%d" % (k - 1), b"")
     key = device.outer_key(state.peer_id)
-    m = sc.enc(plain, key, device.ctx.rng)
-    return HandshakeMessage(sender_id=device.id, m=m,
-                            i_tag=sc.hmac_tag(m, key))
+    m = sc.enc(device.id + echo + nk + report, key, device.ctx.rng)
+    state.phase = _PHASES[k]
+    return state, HandshakeMessage(sender_id=device.id, m=m,
+                                   i_tag=sc.hmac_tag(m, key))
 
 
 def _open(device: Device, state: SessionState, msg: HandshakeMessage,
@@ -166,11 +170,7 @@ def initiator_start(device: Device, peer_id: bytes,
         if outcome.kind is not OutcomeKind.COMPLETED or outcome.report is None:
             return _fail(state, SETUP)
         report = outcome.report
-    n1 = device.ctx.fresh_nonce()
-    state.nonces["n1"] = n1
-    msg = _seal(device, state, device.id + n1 + report)
-    state.phase = SENT1
-    return state, msg
+    return _send(device, state, 1, report)
 
 
 def responder_start(device: Device, peer_id: bytes) -> SessionState:
@@ -178,96 +178,41 @@ def responder_start(device: Device, peer_id: bytes) -> SessionState:
                         peer_id=bytes(peer_id))
 
 
-def _validate_peer_report(device: Device, state: SessionState, report: bytes,
-                          produce_own: bool):
-    """Returns (reason_or_None, own_report_or_None)."""
-    try:
-        outcome = run_attestation(device.ctx, sender_id=state.peer_id,
-                                  sender_report=report,
-                                  self_attest_requested=produce_own)
-    except ConfigurationError:
-        return SETUP, None
-    if outcome.kind in _ABORT_REASON:
-        if outcome.kind is OutcomeKind.SENDER_UNSAFE:
-            state.peer_verdict = 1
-        return _ABORT_REASON[outcome.kind], None
-    if outcome.kind is not OutcomeKind.COMPLETED:
-        return SETUP, None
-    state.peer_verdict = outcome.peer_verdict
-    return None, outcome.report
-
-
 def step(device: Device, state: SessionState, msg: HandshakeMessage):
-    """Advance one protocol step. Returns (state, outbound-or-None)."""
+    """Receive flow k, the one the phase expects, and send flow k + 1.
+
+    Returns (state, outbound-or-None).
+    """
     if state.phase in (DONE, FAILED):
         raise ValueError("step() called on a terminal session")
-
-    if state.role == "responder" and state.phase == START:
-        plain, reason = _open(device, state, msg, _PLAIN_LEN[1])
-        if reason:
-            return _fail(state, reason)
-        n1 = plain[DEVICE_ID_LEN:DEVICE_ID_LEN + sc.NONCE_LEN]
-        report = plain[DEVICE_ID_LEN + sc.NONCE_LEN:]
-        reason, own_report = _validate_peer_report(device, state, report,
-                                                   produce_own=True)
-        if reason:
-            return _fail(state, reason)
-        n2 = device.ctx.fresh_nonce()
-        state.nonces.update(n1=n1, n2=n2)
-        out = _seal(device, state, device.id + n1 + n2 + own_report)
-        state.phase = SENT2
-        return state, out
-
-    if state.role == "initiator" and state.phase == SENT1:
-        plain, reason = _open(device, state, msg, _PLAIN_LEN[2])
-        if reason:
-            return _fail(state, reason)
-        off = DEVICE_ID_LEN
-        n1_echo = plain[off:off + sc.NONCE_LEN]
-        n2 = plain[off + sc.NONCE_LEN:off + 2 * sc.NONCE_LEN]
-        report = plain[off + 2 * sc.NONCE_LEN:]
-        if n1_echo != state.nonces["n1"]:
-            return _fail(state, BAD_NONCE_ECHO)
-        reason, _ = _validate_peer_report(device, state, report,
-                                          produce_own=False)
-        if reason:
-            return _fail(state, reason)
-        n3 = device.ctx.fresh_nonce()
-        state.nonces.update(n2=n2, n3=n3)
-        out = _seal(device, state, device.id + n2 + n3)
-        state.phase = SENT3
-        return state, out
-
-    if state.role == "responder" and state.phase == SENT2:
-        plain, reason = _open(device, state, msg, _PLAIN_LEN[3])
-        if reason:
-            return _fail(state, reason)
-        off = DEVICE_ID_LEN
-        n2_echo = plain[off:off + sc.NONCE_LEN]
-        n3 = plain[off + sc.NONCE_LEN:]
-        if n2_echo != state.nonces["n2"]:
-            return _fail(state, BAD_NONCE_ECHO)
-        n4 = device.ctx.fresh_nonce()
-        state.nonces.update(n3=n3, n4=n4)
-        out = _seal(device, state, device.id + n3 + n4)
-        state.phase = SENT4
-        return state, out
-
-    if state.role == "initiator" and state.phase == SENT3:
-        plain, reason = _open(device, state, msg, _PLAIN_LEN[4])
-        if reason:
-            return _fail(state, reason)
-        off = DEVICE_ID_LEN
-        n3_echo = plain[off:off + sc.NONCE_LEN]
-        n4 = plain[off + sc.NONCE_LEN:]
-        if n3_echo != state.nonces["n3"]:
-            return _fail(state, BAD_NONCE_ECHO)
-        state.nonces.update(n4=n4)
+    k = _PHASES.index(state.phase) + 1
+    # SENT4 expects no flow, and responders receive only the odd ones
+    if k > 4 or k % 2 != (state.role == "responder"):
+        return _fail(state, BAD_LAYOUT)
+    plain, reason = _open(device, state, msg, _PLAIN_LEN[k])
+    if reason:
+        return _fail(state, reason)
+    off = DEVICE_ID_LEN + (k > 1) * sc.NONCE_LEN   # N_k follows the echo
+    if k > 1 and plain[DEVICE_ID_LEN:off] != state.nonces["n%d" % (k - 1)]:
+        return _fail(state, BAD_NONCE_ECHO)
+    own_report = b""
+    if k <= 2:
+        try:
+            outcome = run_attestation(
+                device.ctx, sender_id=state.peer_id,
+                sender_report=plain[off + sc.NONCE_LEN:],
+                self_attest_requested=k == 1)
+        except ConfigurationError:
+            return _fail(state, SETUP)
+        state.peer_verdict = outcome.peer_verdict
+        if outcome.kind is not OutcomeKind.COMPLETED:
+            return _fail(state, _ABORT_REASON.get(outcome.kind, SETUP))
+        own_report = outcome.report or b""
+    state.nonces["n%d" % k] = plain[off:off + sc.NONCE_LEN]
+    if k == 4:
         state.phase = DONE
         return state, None
-
-    # a flow arrived in a phase that never expects one
-    return _fail(state, BAD_LAYOUT)
+    return _send(device, state, k + 1, own_report)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +230,11 @@ class AdversaryAction:
     fake_sender: bytes | None = None
 
 
+_TAMPER_FIELD = {"m": "m", "tag": "i_tag", "sender": "sender_id"}
+_REQUIRED = {"replay": "message", "inject": "message",
+             "impersonate": "fake_sender"}
+
+
 class AdversaryScript:
     """In-path adversary: applies scripted actions to message slots.
 
@@ -300,6 +250,11 @@ class AdversaryScript:
                 raise ValueError("unknown adversary action %r" % a.kind)
             if not 1 <= a.step <= 4:
                 raise ValueError("action step must be 1..4")
+            if a.kind == "tamper" and a.target not in _TAMPER_FIELD:
+                raise ValueError("unknown tamper target %r" % a.target)
+            need = _REQUIRED.get(a.kind)
+            if need and getattr(a, need) is None:
+                raise ValueError("%s action needs %s" % (a.kind, need))
 
     def transform(self, slot: int, honest: HandshakeMessage | None,
                   advance_clock):
@@ -317,10 +272,8 @@ class AdversaryScript:
                 advance_clock(a.delta_ms)
                 if cur is not None:
                     out.append(("delay", cur, False))
-            elif a.kind == "replay":
-                out.append(("replay", a.message, True))
-            elif a.kind == "inject":
-                out.append(("inject", a.message, True))
+            elif a.kind in ("replay", "inject"):
+                out.append((a.kind, a.message, True))
             elif a.kind == "impersonate":
                 base = cur or a.message
                 if base is None:
@@ -330,19 +283,11 @@ class AdversaryScript:
             elif a.kind == "tamper":
                 if cur is None:
                     continue
-                if a.target == "m":
-                    buf = bytearray(cur.m)
-                    buf[a.byte_index % len(buf)] ^= a.xor_mask
-                    mod = dc_replace(cur, m=bytes(buf))
-                elif a.target == "tag":
-                    buf = bytearray(cur.i_tag)
-                    buf[a.byte_index % len(buf)] ^= a.xor_mask
-                    mod = dc_replace(cur, i_tag=bytes(buf))
-                else:
-                    buf = bytearray(cur.sender_id)
-                    buf[a.byte_index % len(buf)] ^= a.xor_mask
-                    mod = dc_replace(cur, sender_id=bytes(buf))
-                out.append(("tamper", mod, True))
+                name = _TAMPER_FIELD[a.target]
+                buf = bytearray(getattr(cur, name))
+                buf[a.byte_index % len(buf)] ^= a.xor_mask
+                out.append(("tamper", dc_replace(cur, **{name: bytes(buf)}),
+                            True))
         return out
 
 
@@ -390,49 +335,33 @@ def run_session(initiator: Device, responder: Device,
     i_state, honest = initiator_start(initiator, responder.id,
                                       report_override=report_override)
     r_state = responder_start(responder, initiator.id)
-    clock = initiator.ctx.clock
-
-    def advance(ms):
-        clock.advance(ms)
 
     for slot in (1, 2, 3, 4):
-        to_responder = slot % 2 == 1
-        receiver_dev = responder if to_responder else initiator
-        receiver_state = r_state if to_responder else i_state
-        direction = "i->j" if to_responder else "j->i"
-        deliveries = adversary.transform(slot, honest, advance)
+        # step() updates the receiver's state in place
+        dev, state, direction = ((responder, r_state, "i->j") if slot % 2
+                                 else (initiator, i_state, "j->i"))
+        deliveries = adversary.transform(slot, honest,
+                                         initiator.ctx.clock.advance)
         honest = None
         for label, dmsg, altered in deliveries:
             if dmsg is None:
-                transcript.append(TranscriptEntry(
-                    session_id=session_id, step=slot, direction=direction,
-                    sender_id="", payload_hex="", tag_hex="",
-                    adversary_action=label, verdict="dropped"))
-                continue
-            entry = TranscriptEntry(
-                session_id=session_id, step=slot, direction=direction,
-                sender_id=bytes(dmsg.sender_id).hex(),
-                payload_hex=bytes(dmsg.m).hex(),
-                tag_hex=bytes(dmsg.i_tag).hex(),
-                adversary_action=label, verdict="")
-            if receiver_state.phase in (DONE, FAILED):
-                entry.verdict = "ignored"
-                transcript.append(entry)
-                continue
-            receiver_state, out = step(receiver_dev, receiver_state, dmsg)
-            if receiver_state.phase == FAILED:
-                entry.verdict = "rejected:%s" % receiver_state.fail_reason
+                verdict = "dropped"
+            elif state.phase in (DONE, FAILED):
+                verdict = "ignored"
             else:
-                entry.verdict = "accepted"
-                if altered and not (label == "replay" and slot == 1):
-                    win = True
-                if out is not None:
-                    honest = out
-            transcript.append(entry)
-        if to_responder:
-            r_state = receiver_state
-        else:
-            i_state = receiver_state
+                state, out = step(dev, state, dmsg)
+                if state.phase == FAILED:
+                    verdict = "rejected:%s" % state.fail_reason
+                else:
+                    verdict = "accepted"
+                    if altered and not (label == "replay" and slot == 1):
+                        win = True
+                    if out is not None:
+                        honest = out
+            wire = (dmsg.sender_id, dmsg.m, dmsg.i_tag) if dmsg else (b"",) * 3
+            transcript.append(TranscriptEntry(
+                session_id, slot, direction, *(bytes(b).hex() for b in wire),
+                adversary_action=label, verdict=verdict))
 
     if r_state.phase == SENT4 and i_state.phase == DONE:
         r_state.phase = DONE

@@ -41,8 +41,26 @@ ARTIFACT_DIGESTS = {
         "e8653490d05a9d140d34053f810be6943d616b9e7b227a4a5b2ecd68253c0c92",
     "eval/twin.txt":
         "4182f9ae14240b308058f08888e749dae533b4d49886042927a6ab59299af75a",
+    "handshake/drop.jsonl":
+        "8ee1d7695a35fcbed7d9e594ecaad5ed1f8f35fa3ed37a48f84654a3a61fcde6",
+    "handshake/expired_report.jsonl":
+        "988ad7a8bf6eb5eeeae49fb0da3aabb483d2d1afbeda0354493afd281085753c",
     "handshake/honest.jsonl":
         "fb33ea1e0c8852c323a14c5452f23b0915e423c9041588c1eff992e044c69174",
+    "handshake/impersonate.jsonl":
+        "c5b39eec8e442157a72e452372e26c3decdfcc0b6661852b7c79890901adfed2",
+    "handshake/inject.jsonl":
+        "6527cd325eb1355ccdea8cd3f13129ebbba7c8b5461b1637daa02c323d3043ba",
+    "handshake/replay.jsonl":
+        "384a90ea516dabf2a6ef33e5ebd337308257ed4deddca3c8143c61c218d043ab",
+    "handshake/replay_stale.jsonl":
+        "ed52261f4ffd449cd011eef8cf4336b153f568de5098281eb2048713f9268be1",
+    "handshake/tamper.jsonl":
+        "b3a3bfd96fedf9a4862d3f56d4bf66406c6ba6c3112894cbe50771ff16534a31",
+    "handshake/tamper_tag.jsonl":
+        "7817a9486d5f11766e4c67906cb808a0835caa2332cb57c08ca142e15d42c83d",
+    "handshake/unsafe_sender.jsonl":
+        "442a616511482eb7a4fe68624db571b937c15b363f5d024cc6f740c46c22fe92",
 }
 
 # sample_traces on default-config firmware 0 at steps 0..3999: the safe
@@ -102,8 +120,8 @@ def _sha256(data: bytes) -> str:
 
 @pytest.fixture(scope="module")
 def out(tmp_path_factory):
-    """gen -> train -> quantize -> calibrate, one honest handshake run and
-    eval --with-twin, all under one output root."""
+    """gen -> train -> quantize -> calibrate, one handshake run per CLI
+    scenario and eval --with-twin, all under one output root."""
     root = tmp_path_factory.mktemp("golden")
     cfg_path = root / "tiny.cfg"
     cfg_path.write_text(CFG_TEXT, encoding="utf-8")
@@ -118,7 +136,8 @@ def out(tmp_path_factory):
             ["calibrate", *common,
              "--model", str(out / "quantize" / "model-quant.alm"),
              "--traces", safe_csv],
-            ["handshake", *common, "--scenario", "honest"],
+            *(["handshake", *common, "--scenario", name]
+              for name in cli.SCENARIOS),
             ["eval", *common, "--with-twin"]):
         assert cli.main(argv) == 0, argv
     return out

@@ -110,6 +110,43 @@ def test_unexpected_flow_order_fails_closed(protocol_lab):
     assert out is None
 
 
+# every non-terminal (role, phase) a session reaches, as the number of
+# steps driven after initiator_start, and the flow each one expects
+_REACHABLE = [("initiator", hs.SENT1, 1, 2), ("initiator", hs.SENT3, 3, 4),
+              ("responder", hs.START, 0, 1), ("responder", hs.SENT2, 1, 3),
+              ("responder", hs.SENT4, 3, None)]
+
+
+@pytest.mark.parametrize("role,phase,driven,fed", [
+    (role, phase, driven, k) for role, phase, driven, expected in _REACHABLE
+    for k in (1, 2, 3, 4) if k != expected])
+def test_out_of_phase_flow_fails_closed(protocol_lab, role, phase, driven,
+                                        fed):
+    # a real flow under the pair's key, in a phase that expects another one
+    # (a responder in SENT4 expects none: run_session hands it a second
+    # flow 3 when one slot carries two actions)
+    initiator, responder, _, _, _ = protocol_lab
+    recorded = hs.record_honest_session(initiator, responder)
+    i_state, msg = hs.initiator_start(initiator, responder.id)
+    r_state = hs.responder_start(responder, initiator.id)
+    own = [msg]
+    for k in range(1, driven + 1):
+        if k % 2:
+            r_state, msg = hs.step(responder, r_state, msg)
+        else:
+            i_state, msg = hs.step(initiator, i_state, msg)
+        own.append(msg)
+    dev, state = ((initiator, i_state) if role == "initiator"
+                  else (responder, r_state))
+    assert state.phase == phase
+    flow = own[fed - 1] if fed <= len(own) else recorded[fed - 1]
+    before = dict(dev.ctx.counters)
+    state, out = hs.step(dev, state, flow)
+    assert (state.phase, state.fail_reason) == (hs.FAILED, hs.BAD_LAYOUT)
+    assert out is None
+    assert dev.ctx.counters == before
+
+
 # ---------------------------------------------------------------------------
 # device sampling
 
@@ -165,6 +202,42 @@ def test_adversary_script_validation():
         hs.AdversaryScript([hs.AdversaryAction(kind="steal", step=1)])
     with pytest.raises(ValueError):
         hs.AdversaryScript([hs.AdversaryAction(kind="drop", step=5)])
+
+
+_MSG = hs.HandshakeMessage(sender_id=INITIATOR_ID, m=bytes(range(48)),
+                           i_tag=bytes(range(100, 132)))
+
+
+@pytest.mark.parametrize("action", [
+    hs.AdversaryAction(kind="tamper", step=2, target="tags"),
+    hs.AdversaryAction(kind="replay", step=1),
+    hs.AdversaryAction(kind="inject", step=3),
+    hs.AdversaryAction(kind="impersonate", step=1)],
+    ids=["unknown-target", "replay-no-message", "inject-no-message",
+         "impersonate-no-sender"])
+def test_adversary_script_rejects_incomplete_action(action):
+    # an unknown tamper target, a replay or inject without a message, and
+    # an impersonation without a fake sender fail when the script is built
+    with pytest.raises(ValueError):
+        hs.AdversaryScript([action])
+
+
+@pytest.mark.parametrize("target,field", [("m", "m"), ("tag", "i_tag"),
+                                          ("sender", "sender_id")])
+@pytest.mark.parametrize("offset", [2, 0])
+def test_tamper_flips_one_byte_of_one_field(target, field, offset):
+    width = len(getattr(_MSG, field))
+    for byte_index in (offset, width + offset):   # indices wrap modulo
+        script = hs.AdversaryScript([hs.AdversaryAction(
+            kind="tamper", step=2, target=target, byte_index=byte_index,
+            xor_mask=0x5A)])
+        [(label, got, altered)] = script.transform(2, _MSG, lambda ms: None)
+        assert (label, altered) == ("tamper", True)
+        want = bytearray(getattr(_MSG, field))
+        want[offset] ^= 0x5A
+        assert getattr(got, field) == bytes(want)
+        for other in {"m", "i_tag", "sender_id"} - {field}:
+            assert getattr(got, other) == getattr(_MSG, other)
 
 
 def test_dropped_flow_stalls_the_session(protocol_lab):
