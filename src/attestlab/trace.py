@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,6 +30,9 @@ PROFILE_FORMAT_VERSION = 1
 
 # shortest memoized random-walk path; longer ones round up to a power of two
 _MIN_WALK_STEPS = 4096
+_CSV_HEAD = ["device_id", "firmware_id", "time_step", "label"]
+_CSV_BLOCK_CHARS = 1 << 20  # ~350 default-config rows; bounds memory only
+_BYTE_CELLS = np.array([",%d" % i for i in range(256)], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -269,6 +272,24 @@ def mutate_profile(base: FirmwareProfile, kind: str, severity: float,
                    mutation=mutation)
 
 
+def _clamped_walk(base: int, steps: np.ndarray) -> np.ndarray:
+    """[base, c_1, ..., c_n] with c_t = min(255, max(0, c_{t-1} + steps[t-1])).
+
+    Until the other clamp binds, c_t = S_t - min(0, min_{s<=t} S_s) with S
+    the start plus the step prefix sums (a one-sided Skorokhod map), or its
+    mirror image; reaching the other clamp takes 255 steps or more."""
+    out = np.full(len(steps) + 1, base, dtype=np.int64)
+    t, start, sign = 0, base, 1  # the active clamp is at 0 in this frame
+    while t < len(steps):
+        s = start + np.cumsum(sign * steps[t:])
+        c = s - np.minimum(np.minimum.accumulate(s), 0)
+        end = int(np.argmax(c > 255)) + 1 if c.max() > 255 else len(c)
+        seg = np.minimum(c[:end], 255)
+        out[t + 1:t + 1 + end] = seg if sign > 0 else 255 - seg
+        t, start, sign = t + end, 0, -sign
+    return out
+
+
 @functools.lru_cache(maxsize=64)
 def _walk_path(firmware_seed: int, init_seed: int, width: int,
                length: int) -> np.ndarray:
@@ -282,9 +303,7 @@ def _walk_path(firmware_seed: int, init_seed: int, width: int,
         0, 256, size=width, dtype=np.int64)
     steps = rng(firmware_seed, "walk", init_seed).choice(
         np.array([-1, 1], dtype=np.int64), size=(length, width))
-    cols = [list(itertools.accumulate(
-        col.tolist(), lambda c, d: min(255, max(0, c + d)), initial=int(b)))
-        for b, col in zip(base, steps.T)]
+    cols = [_clamped_walk(int(b), col) for b, col in zip(base, steps.T)]
     path = np.array(cols, dtype=np.uint8).T
     path.flags.writeable = False
     return path
@@ -484,16 +503,75 @@ def export_traces(path, batch: TraceBatch, meta: dict | None = None):
     if not len(batch):
         raise ValueError("no traces to export")
     width = batch.data.shape[1]
+    heads = []  # text fields as csv.writer quotes them; bytes need none
+    csv.writer(SimpleNamespace(write=heads.append)).writerows(zip(
+        batch.device_ids, batch.firmware_ids, batch.time_steps.tolist(),
+        batch.labels))
+    block = max(1, _CSV_BLOCK_CHARS // (4 * width))
     with open(path, "w", encoding="utf-8", newline="") as f:
         for k in sorted(meta or {}):
             f.write("# %s=%s\n" % (k, (meta or {})[k]))
-        w = csv.writer(f)
-        w.writerow(["device_id", "firmware_id", "time_step", "label"]
-                   + ["b%d" % i for i in range(width)])
-        for dev, fw, step, label, row in zip(
-                batch.device_ids, batch.firmware_ids,
-                batch.time_steps.tolist(), batch.labels, batch.data.tolist()):
-            w.writerow([dev, fw, step, label] + row)
+        csv.writer(f).writerow(_CSV_HEAD + ["b%d" % i for i in range(width)])
+        for i in range(0, len(heads), block):
+            cells = _BYTE_CELLS[batch.data[i:i + block]].tolist()
+            f.write("".join(h[:-2] + "".join(c) + "\r\n"
+                            for h, c in zip(heads[i:i + block], cells)))
+
+
+def _canonical_block(lines: list, width: int):
+    """(fields, (n, width) uint8) of rows in the exporter's form, or None."""
+    fields, cells = [], []
+    for line in lines:
+        parts = line[:-2].split(",", 4)
+        if not line.endswith("\r\n") or '"' in line or len(parts) != 5 \
+                or not (parts[2].isascii() and parts[2].isdigit()) \
+                or parts[3] not in LABELS or parts[4].count(",") != width - 1:
+            return None
+        fields.append((parts[0], parts[1], int(parts[2]), parts[3]))
+        cells.append(parts[4])
+    text = ",".join(cells)
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    cell_len = np.diff(np.flatnonzero(raw == ord(",")), prepend=-1,
+                       append=len(raw)) - 1
+    if cell_len.min() < 1 or cell_len.max() > 3 \
+            or ((raw - ord("0") > 9) & (raw != ord(","))).any():
+        return None
+    data = np.fromstring(text, dtype=np.int64, sep=",")
+    return None if data.max() > 255 else \
+        (fields, data.astype(np.uint8).reshape(len(lines), width))
+
+
+def _parse_rows(f, width: int, header_line: int):
+    """Per-row csv.reader parse; errors name the physical line."""
+    fields, rows = [], []
+    reader = csv.reader(f)
+    for row in reader:
+        lineno = header_line + reader.line_num
+        if len(row) != 4 + width:
+            raise ValueError("line %d: expected %d fields, got %d"
+                             % (lineno, 4 + width, len(row)))
+        try:
+            step = int(row[2])
+        except ValueError:
+            raise ValueError("line %d: time_step is not an integer"
+                             % lineno) from None
+        if step < 0:
+            raise ValueError("line %d: negative time_step" % lineno)
+        if row[3] not in LABELS:
+            raise ValueError("line %d: label must be safe|unsafe" % lineno)
+        try:
+            data = np.array(row[4:], dtype=np.int64)
+            if ((data < 0) | (data > 255)).any():
+                raise OverflowError
+        except ValueError:
+            raise ValueError("line %d: non-integer byte value"
+                             % lineno) from None
+        except OverflowError:
+            raise ValueError("line %d: byte value out of range 0..255"
+                             % lineno) from None
+        fields.append((row[0], row[1], step, row[3]))
+        rows.append(data)
+    return fields, [np.array(rows, dtype=np.uint8).reshape(len(rows), width)]
 
 
 def import_traces(path) -> TraceBatch:
@@ -506,41 +584,23 @@ def import_traces(path) -> TraceBatch:
             line = f.readline()
         lineno += 1
         header = next(csv.reader([line])) if line else []
-        if header[:4] != ["device_id", "firmware_id", "time_step", "label"]:
+        if header[:4] != _CSV_HEAD:
             raise ValueError("line %d: bad header" % lineno)
         width = len(header) - 4
         if width < 1 or header[4:] != ["b%d" % i for i in range(width)]:
             raise ValueError("line %d: bad byte column names" % lineno)
-        fields, rows = [], []
-        for row in csv.reader(f):
-            lineno += 1
-            if len(row) != 4 + width:
-                raise ValueError("line %d: expected %d fields, got %d"
-                                 % (lineno, 4 + width, len(row)))
-            try:
-                step = int(row[2])
-            except ValueError:
-                raise ValueError("line %d: time_step is not an integer"
-                                 % lineno) from None
-            if step < 0:
-                raise ValueError("line %d: negative time_step" % lineno)
-            if row[3] not in LABELS:
-                raise ValueError("line %d: label must be safe|unsafe" % lineno)
-            try:
-                data = np.array(row[4:], dtype=np.int64)
-                if ((data < 0) | (data > 255)).any():
-                    raise OverflowError
-            except ValueError:
-                raise ValueError("line %d: non-integer byte value"
-                                 % lineno) from None
-            except OverflowError:
-                raise ValueError("line %d: byte value out of range 0..255"
-                                 % lineno) from None
-            fields.append((row[0], row[1], step, row[3]))
-            rows.append(data)
+        body = f.tell()
+        fields, blocks = [], [np.zeros((0, width), dtype=np.uint8)]
+        while (lines := f.readlines(_CSV_BLOCK_CHARS)) and \
+                (block := _canonical_block(lines, width)):
+            fields += block[0]
+            blocks.append(block[1])
+        if lines:  # a row not in the exporter's form: reread row by row
+            f.seek(body)
+            fields, blocks = _parse_rows(f, width, lineno)
     device_ids, firmware_ids, steps, labels = \
         np.array(fields, dtype=object).reshape(len(fields), 4).T
     return TraceBatch(
-        data=np.array(rows, dtype=np.uint8).reshape(len(rows), width),
-        time_steps=steps.astype(np.int64), device_ids=device_ids.astype(str),
+        data=np.concatenate(blocks), time_steps=steps.astype(np.int64),
+        device_ids=device_ids.astype(str),
         firmware_ids=firmware_ids.astype(str), labels=labels.astype(str))

@@ -1,5 +1,7 @@
 """Trace generator: layouts, mutations, sampling, aggregation, datasets, CSV."""
 
+import csv
+import itertools
 import math
 
 import numpy as np
@@ -7,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attestlab import trace
+from attestlab import cli, trace
 from attestlab.seeds import rng
 from attestlab.trace import LayoutSpec
+from test_golden import CFG_TEXT
 
 SPEC = LayoutSpec(data_section_len=256, n_variables=12)
 
@@ -296,6 +299,48 @@ def test_walk_path_is_read_only():
     assert path.shape == (4097, 2) and path.dtype == np.uint8
     with pytest.raises(ValueError):
         path[0, 0] = 0
+
+
+def _accumulate_walk(base, steps):
+    """Oracle: the per-step clamp loop the prefix-sum kernel replaced."""
+    return np.array(list(itertools.accumulate(
+        steps.tolist(), lambda c, d: min(255, max(0, c + d)), initial=base)))
+
+
+@pytest.mark.parametrize("base", [0, 1, 128, 254, 255])
+@pytest.mark.parametrize("runs", [
+    [], [1], [-1], [(1, 300), (-1, 300), (1, 300)],
+    [(-1, 300), (1, 300), (-1, 300), (1, 300)],
+    [(1, 255), (-1, 255), (1, 256), (-1, 256), (1, 2)],
+    [(1, 600), (-1, 1), (1, 1), (-1, 600), (1, 1)]],
+    ids=["len0", "up1", "down1", "up-down-up", "down-up-down-up", "edges",
+         "pinned"])
+def test_clamped_walk_kernel_matches_loop(base, runs):
+    # forced step runs that hit both clamps several times, lengths 0 and 1
+    steps = np.array([d for r in runs
+                      for d in ([r] if isinstance(r, int) else [r[0]] * r[1])],
+                     dtype=np.int64)
+    got = trace._clamped_walk(base, steps)
+    want = _accumulate_walk(base, steps)
+    assert got.shape == (len(steps) + 1,)
+    assert np.array_equal(got, want)
+    if len(runs) > 2:
+        assert {0, 255} <= set(got.tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=st.integers(0, 255),
+       runs=st.lists(st.tuples(st.sampled_from([-1, 1]), st.integers(1, 400)),
+                     max_size=8),
+       noise=st.integers(0, 2 ** 32 - 1))
+def test_clamped_walk_kernel_property(base, runs, noise):
+    # long one-sided runs, each followed by a short random +-1 stretch
+    g = np.random.default_rng(noise)
+    steps = np.concatenate(
+        [np.full(n, d, dtype=np.int64) for d, n in runs]
+        + [g.choice(np.array([-1, 1], dtype=np.int64), size=50)])
+    assert np.array_equal(trace._clamped_walk(base, steps),
+                          _accumulate_walk(base, steps))
 
 
 def test_sample_traces_independent_of_batching_and_memo():
@@ -647,3 +692,247 @@ def test_import_traces_rejects_bad_header(tmp_path):
     path.write_text("device,firmware_id,time_step,label,b0\nd,f,0,safe,1\n")
     with pytest.raises(ValueError, match="line 1"):
         trace.import_traces(path)
+
+
+# ---------------------------------------------------------------------------
+# CSV fast paths against the per-row oracles they replaced
+
+_COLUMNS = ("data", "time_steps", "device_ids", "firmware_ids", "labels")
+
+
+def _import_oracle(path):
+    """Oracle: the per-row csv.reader importer (one line counted per row)."""
+    with open(path, encoding="utf-8", newline="") as f:
+        lineno = 0
+        line = f.readline()
+        while line.startswith("#"):
+            lineno += 1
+            line = f.readline()
+        lineno += 1
+        header = next(csv.reader([line])) if line else []
+        if header[:4] != ["device_id", "firmware_id", "time_step", "label"]:
+            raise ValueError("line %d: bad header" % lineno)
+        width = len(header) - 4
+        if width < 1 or header[4:] != ["b%d" % i for i in range(width)]:
+            raise ValueError("line %d: bad byte column names" % lineno)
+        fields, rows = [], []
+        for row in csv.reader(f):
+            lineno += 1
+            if len(row) != 4 + width:
+                raise ValueError("line %d: expected %d fields, got %d"
+                                 % (lineno, 4 + width, len(row)))
+            try:
+                step = int(row[2])
+            except ValueError:
+                raise ValueError("line %d: time_step is not an integer"
+                                 % lineno) from None
+            if step < 0:
+                raise ValueError("line %d: negative time_step" % lineno)
+            if row[3] not in trace.LABELS:
+                raise ValueError("line %d: label must be safe|unsafe" % lineno)
+            try:
+                data = np.array(row[4:], dtype=np.int64)
+                if ((data < 0) | (data > 255)).any():
+                    raise OverflowError
+            except ValueError:
+                raise ValueError("line %d: non-integer byte value"
+                                 % lineno) from None
+            except OverflowError:
+                raise ValueError("line %d: byte value out of range 0..255"
+                                 % lineno) from None
+            fields.append((row[0], row[1], step, row[3]))
+            rows.append(data)
+    device_ids, firmware_ids, steps, labels = \
+        np.array(fields, dtype=object).reshape(len(fields), 4).T
+    return trace.TraceBatch(
+        data=np.array(rows, dtype=np.uint8).reshape(len(rows), width),
+        time_steps=steps.astype(np.int64), device_ids=device_ids.astype(str),
+        firmware_ids=firmware_ids.astype(str), labels=labels.astype(str))
+
+
+def _assert_imports_like_oracle(path):
+    """Same five columns (values, dtypes, shapes) or the same exception."""
+    try:
+        want = _import_oracle(path)
+    except Exception as exc:  # the oracle's exact error is the spec
+        with pytest.raises(type(exc)) as got:
+            trace.import_traces(path)
+        assert str(got.value) == str(exc)
+        return
+    got = trace.import_traces(path)
+    for col in _COLUMNS:
+        a, b = getattr(got, col), getattr(want, col)
+        assert a.dtype == b.dtype and a.shape == b.shape, col
+        assert np.array_equal(a, b), col
+
+
+@pytest.fixture(scope="module")
+def golden_gen(tmp_path_factory):
+    """The gen CSVs of the golden-digest config."""
+    root = tmp_path_factory.mktemp("gen")
+    (root / "tiny.cfg").write_text(CFG_TEXT, encoding="utf-8")
+    for fw in ("0", "1"):
+        assert cli.main(["gen", "--config", str(root / "tiny.cfg"),
+                         "--out", str(root / "out"), "--firmware", fw]) == 0
+    paths = sorted((root / "out" / "gen").rglob("*.csv"))
+    assert len(paths) == 10
+    return paths
+
+
+def test_import_traces_matches_oracle_on_golden_csvs(golden_gen):
+    for path in golden_gen:
+        assert path.read_bytes().endswith(b"\r\n")
+        _assert_imports_like_oracle(path)
+
+
+HEAD = "device_id,firmware_id,time_step,label,b0,b1,b2"
+EDGE_FILES = {
+    "canonical": HEAD + "\r\nd,f,0,safe,0,9,255\r\nd,f,1,unsafe,10,99,100\r\n",
+    "lf_only": HEAD + "\nd,f,0,safe,0,9,255\nd,f,1,unsafe,10,99,100\n",
+    "mixed_endings": HEAD + "\r\nd,f,0,safe,1,2,3\nd,f,1,safe,4,5,6\r\n",
+    "quoted_ids": HEAD + '\r\n"d,1",f,0,safe,1,2,3\r\n'
+                  'd,"f,""x""",1,safe,4,5,6\r\n',
+    "quoted_id_shifts_fields": HEAD + '\r\n"d,f",0,safe,1,2,3\r\n',
+    "quoted_byte": HEAD + '\r\nd,f,0,safe,"1",2,3\r\n',
+    "no_final_newline": HEAD + "\r\nd,f,0,safe,1,2,3\r\nd,f,1,safe,4,5,6",
+    "header_only": "# seed=1\n" + HEAD + "\r\n",
+    "header_no_newline": HEAD,
+    "comments_only": "# a=1\n# b=2\n",
+    "empty": "",
+    "blank_body_line": HEAD + "\r\nd,f,0,safe,1,2,3\r\n\r\n"
+                       "d,f,1,safe,4,5,6\r\n",
+    "trailing_blank_line": HEAD + "\r\nd,f,0,safe,1,2,3\r\n\r\n",
+    "mixed_labels": HEAD + "\r\na,f,0,unsafe,1,2,3\r\nb,g,7,safe,4,5,6\r\n",
+    "too_few_cells": HEAD + "\r\nd,f,0,safe,1,2\r\n",
+    "too_many_cells": HEAD + "\r\nd,f,0,safe,1,2,3,4\r\n",
+    "bad_label": HEAD + "\r\nd,f,0,Safe,1,2,3\r\n",
+    "empty_ids": HEAD + "\r\n,,0,safe,1,2,3\r\n",
+    "hash_id": HEAD + "\r\n#d,f,0,safe,1,2,3\r\n",
+    "lone_cr": HEAD + "\rd,f,0,safe,1,2,3\rd,f,1,safe,4,5,6\r",
+    "unicode_id": HEAD + "\r\nd\u00e9v,f\u4e00,3,safe,1,2,3\r\n",
+    "bad_header": "device,firmware_id,time_step,label,b0\r\nd,f,0,safe,1\r\n",
+    "bad_byte_names": "device_id,firmware_id,time_step,label,b1\r\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_FILES))
+def test_import_traces_matches_oracle_on_edge_files(tmp_path, name):
+    path = tmp_path / "t.csv"
+    path.write_bytes(EDGE_FILES[name].encode("utf-8"))
+    _assert_imports_like_oracle(path)
+
+
+def _long_batch(rows=1500, width=300):
+    data = np.random.default_rng(3).integers(0, 256, size=(rows, width),
+                                             dtype=np.uint8)
+    return trace.TraceBatch(
+        data=data, time_steps=np.arange(rows, dtype=np.int64) * 7,
+        device_ids=np.array(["dev%d" % (i % 3) for i in range(rows)]),
+        firmware_ids=np.full(rows, "fw"),
+        labels=np.array([trace.LABELS[i % 5 == 0] for i in range(rows)]))
+
+
+@pytest.mark.parametrize("bad_row", [None, 0, 1499])
+def test_import_traces_matches_oracle_past_one_block(tmp_path, bad_row):
+    # more than one block; a bad last row is only seen after whole blocks
+    # were parsed, and the error must still name its line
+    path = tmp_path / "long.csv"
+    trace.export_traces(path, _long_batch(), meta={"k": "v"})
+    assert path.stat().st_size > trace._CSV_BLOCK_CHARS
+    if bad_row is not None:
+        lines = path.read_bytes().split(b"\r\n")  # [meta + header, rows]
+        lines[1 + bad_row] = lines[1 + bad_row].rpartition(b",")[0] + b",256"
+        path.write_bytes(b"\r\n".join(lines))
+    _assert_imports_like_oracle(path)
+    if bad_row is not None:
+        with pytest.raises(ValueError, match="line %d: byte value out"
+                           % (3 + bad_row)):
+            trace.import_traces(path)
+
+
+# "\u0663" is an Arabic-Indic 3 (int() reads it); "\u00b2" is a superscript
+# 2 (str.isdigit() is true, int() refuses it)
+CELL_FORMS = [" 5", "+5", "1_0", "05", "\u0663", "\u00b2", "5.0", "", "256",
+              "-1", "99999999999999999999", "18446744073709551621", "0005",
+              "7"]
+
+
+@pytest.mark.parametrize("column", ["b1", "time_step"])
+@pytest.mark.parametrize("cell", CELL_FORMS)
+def test_import_traces_matches_oracle_on_cell_forms(tmp_path, cell, column):
+    row = {"time_step": "4", "b1": "2"}
+    row[column] = cell
+    path = tmp_path / "t.csv"
+    path.write_bytes(("%s\r\nd,f,1,safe,0,1,2\r\nd,f,%s,safe,1,%s,3\r\n"
+                      % (HEAD, row["time_step"], row["b1"])).encode("utf-8"))
+    _assert_imports_like_oracle(path)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(st.lists(st.sampled_from(CELL_FORMS + ["0", "255", "12"]),
+                              min_size=3, max_size=3), max_size=5),
+       ending=st.sampled_from(["\r\n", "\n"]),
+       labels=st.lists(st.sampled_from(["safe", "unsafe", "bad"]),
+                       min_size=5, max_size=5))
+def test_import_traces_matches_oracle_fuzz(tmp_path_factory, rows, ending,
+                                           labels):
+    body = "".join("d%d,f,%d,%s,%s%s" % (i, i, labels[i], ",".join(r), ending)
+                   for i, r in enumerate(rows))
+    path = tmp_path_factory.mktemp("fuzz") / "t.csv"
+    path.write_bytes(("# s=1\n" + HEAD + ending + body).encode("utf-8"))
+    _assert_imports_like_oracle(path)
+
+
+def test_import_traces_names_physical_line_after_multiline_field(tmp_path):
+    # the quoted device id spans lines 2-3, so the bad label is on line 5
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"device_id,firmware_id,time_step,label,b0\r\n"
+                     b'"dev\r\nice",f,0,safe,1\r\n'
+                     b"d,f,1,safe,2\r\n"
+                     b"d,f,2,sketchy,3\r\n")
+    with pytest.raises(ValueError, match="^line 5: label must be safe"):
+        trace.import_traces(path)
+    path.write_bytes(b"# a=1\n" + path.read_bytes())
+    with pytest.raises(ValueError, match="^line 6: label must be safe"):
+        trace.import_traces(path)
+
+
+def _export_oracle(path, batch, meta=None):
+    """Oracle: the csv.writer row loop the table-driven exporter replaced."""
+    width = batch.data.shape[1]
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        for k in sorted(meta or {}):
+            f.write("# %s=%s\n" % (k, (meta or {})[k]))
+        w = csv.writer(f)
+        w.writerow(["device_id", "firmware_id", "time_step", "label"]
+                   + ["b%d" % i for i in range(width)])
+        for dev, fw, step, label, row in zip(
+                batch.device_ids, batch.firmware_ids,
+                batch.time_steps.tolist(), batch.labels, batch.data.tolist()):
+            w.writerow([dev, fw, step, label] + row)
+
+
+def _quoted_ids_batch():
+    ids = ["a,b", 'q"t', "new\nline", "cr\rx", " sp", "", "plain", "\u00e9"]
+    n = len(ids)
+    return trace.TraceBatch(
+        data=np.arange(n * 2, dtype=np.uint8).reshape(n, 2) * 37,
+        time_steps=np.arange(n, dtype=np.int64), device_ids=np.array(ids),
+        firmware_ids=np.array(ids[::-1]), labels=np.full(n, "unsafe"))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: trace.TraceBatch(
+        data=np.array([[0], [255], [7]], dtype=np.uint8),
+        time_steps=np.array([0, 1, 2]), device_ids=np.full(3, "d"),
+        firmware_ids=np.full(3, "f"), labels=np.full(3, "safe")),
+    lambda: trace.sample_traces(_profile(), 1, [3]),
+    _long_batch,
+    _quoted_ids_batch],
+    ids=["width1", "one_row", "past_one_block", "quoted_ids"])
+def test_export_traces_matches_oracle(tmp_path, make):
+    batch = make()
+    trace.export_traces(tmp_path / "new.csv", batch, meta={"seed": 3})
+    _export_oracle(tmp_path / "old.csv", batch, meta={"seed": 3})
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "old.csv").read_bytes()
