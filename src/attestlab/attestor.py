@@ -164,13 +164,9 @@ def run_attestation(ctx: AttestationContext, sender_id: bytes | None = None,
 
     peer_verdict = None
     if sender_report is not None:
-        kind, verdict = validate_report(ctx, sender_id, sender_report)
-        if kind in ABORT_KINDS:
-            return AttestOutcome(kind=kind)
-        if kind is OutcomeKind.SENDER_UNSAFE:
-            return AttestOutcome(kind=OutcomeKind.SENDER_UNSAFE,
-                                 peer_verdict=UNSAFE)
-        peer_verdict = verdict  # validated safe sender
+        kind, peer_verdict = validate_report(ctx, sender_id, sender_report)
+        if kind is not OutcomeKind.COMPLETED:
+            return AttestOutcome(kind=kind, peer_verdict=peer_verdict)
 
     if not self_attest_requested:
         return AttestOutcome(kind=OutcomeKind.COMPLETED,

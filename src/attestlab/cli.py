@@ -21,8 +21,7 @@ from pathlib import Path
 
 from . import autoenc, evalkit, handshake, model_io, quantize, threshold, trace
 from . import secure_channel as sc
-from .attestor import (AttestationContext, ConfigurationError, run_attestation,
-                       self_attest)
+from .attestor import AttestationContext, run_attestation, self_attest
 from .config import ExperimentConfig, build_config, config_digest, load_config
 from .seeds import derive_seed
 
@@ -33,10 +32,6 @@ INITIATOR_ID = bytes.fromhex("0a000001")
 RESPONDER_ID = bytes.fromhex("0a000002")
 IMPOSTOR_ID = bytes.fromhex("ee00ee1f")
 CLOCK_START_MS = 10_000
-
-SCENARIOS = ("honest", "drop", "tamper", "tamper_tag", "impersonate",
-             "inject", "replay", "replay_stale", "expired_report",
-             "unsafe_sender")
 
 
 def _out_root(args) -> Path:
@@ -230,16 +225,17 @@ def cmd_attest(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _handshake_lab(cfg: ExperimentConfig, scenario: str):
-    """Train one firmware pipeline and provision the protocol devices."""
-    bundle = evalkit.prepare_firmware(cfg, 0, with_mutants=False)
+def provision(cfg: ExperimentConfig, bundle: evalkit.FirmwareBundle,
+              unsafe_initiator: bool = False):
+    """Initiator and responder sharing the bundle's detector, one key store
+    and one clock; with unsafe_initiator the initiator runs a mutant."""
     clock = sc.SimulatedClock(start_ms=CLOCK_START_MS)
     keystore = sc.KeyStore.generate(
         [INITIATOR_ID, RESPONDER_ID],
         sc.RandomSource(derive_seed(cfg.seed, "keys")))
 
     init_profile = bundle.profile
-    if scenario == "unsafe_sender":
+    if unsafe_initiator:
         init_profile = trace.mutate_profile(
             bundle.profile, "tamper_data", 1.0,
             derive_seed(cfg.seed, "hs-mutant"))
@@ -254,53 +250,54 @@ def _handshake_lab(cfg: ExperimentConfig, scenario: str):
             agg_width=cfg.agg_width, expiry_ms=cfg.expiry_ms,
             time_steps=spare)
 
-    initiator = device(INITIATOR_ID, init_profile, "i")
-    responder = device(RESPONDER_ID, bundle.profile, "j")
-    return initiator, responder, clock
+    return (device(INITIATOR_ID, init_profile, "i"),
+            device(RESPONDER_ID, bundle.profile, "j"))
 
 
-def _scenario_script(scenario: str, cfg: ExperimentConfig, initiator,
-                     responder):
-    A = handshake.AdversaryAction
-    stale = cfg.expiry_ms + 1
-    if scenario in ("honest", "unsafe_sender"):
-        return handshake.AdversaryScript()
-    if scenario == "drop":
-        return handshake.AdversaryScript([A(kind="drop", step=2)])
-    if scenario == "tamper":
-        return handshake.AdversaryScript(
-            [A(kind="tamper", step=3, target="m", byte_index=7)])
-    if scenario == "tamper_tag":
-        return handshake.AdversaryScript(
-            [A(kind="tamper", step=2, target="tag", byte_index=0)])
-    if scenario == "impersonate":
-        return handshake.AdversaryScript(
-            [A(kind="impersonate", step=1, fake_sender=IMPOSTOR_ID)])
-    if scenario == "inject":
-        forge_rng = sc.RandomSource(derive_seed(cfg.seed, "forge"))
-        fake = handshake.HandshakeMessage(
-            sender_id=initiator.id, m=forge_rng.bytes(80),
-            i_tag=forge_rng.bytes(sc.TAG_LEN))
-        return handshake.AdversaryScript([A(kind="inject", step=1,
-                                            message=fake)])
-    if scenario in ("replay", "replay_stale"):
-        recorded = handshake.record_honest_session(initiator, responder)
-        actions = []
-        if scenario == "replay_stale":
-            actions.append(A(kind="delay", step=1, delta_ms=stale))
-        actions.append(A(kind="replay", step=1, message=recorded[0]))
-        return handshake.AdversaryScript(actions)
-    if scenario == "expired_report":
-        return handshake.AdversaryScript([A(kind="delay", step=1,
-                                            delta_ms=stale)])
-    raise ValueError("unknown scenario %r" % scenario)
+_A = handshake.AdversaryAction
+
+
+def _stale(cfg: ExperimentConfig):
+    return _A(kind="delay", step=1, delta_ms=cfg.expiry_ms + 1)
+
+
+def _inject(cfg, initiator, responder):
+    rng = sc.RandomSource(derive_seed(cfg.seed, "forge"))
+    return [_A(kind="inject", step=1, message=handshake.HandshakeMessage(
+        sender_id=initiator.id, m=rng.bytes(80), i_tag=rng.bytes(sc.TAG_LEN)))]
+
+
+def _replay(cfg, initiator, responder, delay=()):
+    recorded = handshake.record_honest_session(initiator, responder)
+    return [*delay, _A(kind="replay", step=1, message=recorded[0])]
+
+
+# scenario -> (cfg, initiator, responder) -> the adversary's actions
+SCENARIOS = {
+    "honest": lambda cfg, i, j: [],
+    "drop": lambda cfg, i, j: [_A(kind="drop", step=2)],
+    "tamper": lambda cfg, i, j: [_A(kind="tamper", step=3, target="m",
+                                    byte_index=7)],
+    "tamper_tag": lambda cfg, i, j: [_A(kind="tamper", step=2, target="tag",
+                                        byte_index=0)],
+    "impersonate": lambda cfg, i, j: [_A(kind="impersonate", step=1,
+                                         fake_sender=IMPOSTOR_ID)],
+    "inject": _inject,
+    "replay": _replay,
+    "replay_stale": lambda cfg, i, j: _replay(cfg, i, j, [_stale(cfg)]),
+    "expired_report": lambda cfg, i, j: [_stale(cfg)],
+    "unsafe_sender": lambda cfg, i, j: [],
+}
 
 
 def cmd_handshake(args, cfg: ExperimentConfig) -> int:
     out = _outdir(args, "handshake")
     scenario = args.scenario
-    initiator, responder, _clock = _handshake_lab(cfg, scenario)
-    script = _scenario_script(scenario, cfg, initiator, responder)
+    bundle = evalkit.prepare_firmware(cfg, 0, with_mutants=False)
+    initiator, responder = provision(
+        cfg, bundle, unsafe_initiator=scenario == "unsafe_sender")
+    script = handshake.AdversaryScript(
+        SCENARIOS[scenario](cfg, initiator, responder))
     n = args.sessions if args.sessions is not None else cfg.sessions
 
     counts: dict[str, int] = {}
@@ -429,9 +426,6 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args, cfg)
-    except ConfigurationError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
     except (ValueError, OSError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

@@ -32,9 +32,6 @@ class MetricsReport:
     f1_safe: float
     auc: float | None
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 def _rates(tp: int, tn: int, fp: int, fn: int):
     total = tp + tn + fp + fn
@@ -167,12 +164,10 @@ def q_errors(qmodel: quantize.QuantizedModel, features: np.ndarray):
 
 
 def prepare_firmware(cfg: ExperimentConfig, fw_index: int,
-                     profile: trace.FirmwareProfile | None = None,
                      with_mutants: bool = True) -> FirmwareBundle:
     """Generate, train, quantize, and calibrate one firmware pipeline."""
     fw_seed = derive_seed(cfg.seed, "firmware", fw_index)
-    if profile is None:
-        profile = trace.generate_profile(fw_seed, layout_spec(cfg))
+    profile = trace.generate_profile(fw_seed, layout_spec(cfg))
     mutants = mutant_profiles(profile, fw_seed, cfg) if with_mutants else []
 
     device_seed = derive_seed(fw_seed, "device", 0)
@@ -241,17 +236,13 @@ def _macro(per_fw: list[FirmwareResult]) -> dict:
 
 
 def run_experiment(cfg: ExperimentConfig,
-                   bundles: list[FirmwareBundle] | None = None
-                   ) -> ExperimentResult:
+                   bundles: list[FirmwareBundle]) -> ExperimentResult:
     """Cross-firmware detection campaign.
 
     Each firmware's detector is scored on its own held-out safe traces
     (negatives) against its own mutants plus every other firmware's
     traces (positives): a detector should accept only its own firmware.
     """
-    if bundles is None:
-        bundles = [prepare_firmware(cfg, i)
-                   for i in range(cfg.firmware_count)]
     if len(bundles) < 2:
         raise ValueError("cross-firmware evaluation needs at least two "
                          "firmware images")

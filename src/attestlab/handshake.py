@@ -62,7 +62,6 @@ class HandshakeMessage:
 @dataclass
 class SessionState:
     role: str                 # "initiator" | "responder"
-    self_id: bytes
     peer_id: bytes
     phase: str = START
     nonces: dict = field(default_factory=dict)
@@ -157,8 +156,7 @@ def initiator_start(device: Device, peer_id: bytes,
     report_override models a compromised normal world caching an old
     encrypted report instead of requesting a fresh one.
     """
-    state = SessionState(role="initiator", self_id=device.id,
-                         peer_id=bytes(peer_id))
+    state = SessionState(role="initiator", peer_id=bytes(peer_id))
     if report_override is not None:
         report = report_override
     else:
@@ -174,8 +172,7 @@ def initiator_start(device: Device, peer_id: bytes,
 
 
 def responder_start(device: Device, peer_id: bytes) -> SessionState:
-    return SessionState(role="responder", self_id=device.id,
-                        peer_id=bytes(peer_id))
+    return SessionState(role="responder", peer_id=bytes(peer_id))
 
 
 def step(device: Device, state: SessionState, msg: HandshakeMessage):

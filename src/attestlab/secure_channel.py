@@ -45,7 +45,6 @@ class RandomSource:
     """
 
     def __init__(self, seed: int | None = None):
-        self.seed = seed
         self._rng = random.Random(seed) if seed is not None else None
 
     def bytes(self, n: int) -> bytes:

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from attestlab import autoenc, evalkit, handshake
-from attestlab import secure_channel as sc
+from attestlab import autoenc, cli, evalkit
 from attestlab.config import ExperimentConfig
-from attestlab.seeds import derive_seed
-
-INITIATOR_ID = bytes.fromhex("0a000001")
-RESPONDER_ID = bytes.fromhex("0a000002")
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -50,25 +45,8 @@ def bundle(tiny_cfg):
 
 @pytest.fixture()
 def protocol_lab(tiny_cfg, bundle):
-    """Fresh initiator/responder device pair sharing one trained detector."""
-    clock = sc.SimulatedClock(start_ms=10_000)
-    keystore = sc.KeyStore.generate(
-        [INITIATOR_ID, RESPONDER_ID],
-        sc.RandomSource(derive_seed(tiny_cfg.seed, "test-keys")))
-    spare = bundle.spare_steps(tiny_cfg.twin_eval_traces)
-
-    def device(dev_id, tag, profile=None):
-        return handshake.Device(
-            dev_id, profile if profile is not None else bundle.profile,
-            derive_seed(tiny_cfg.seed, "test-device", tag),
-            bundle.qmodel, bundle.calibration.t_opt, keystore, clock,
-            sc.RandomSource(derive_seed(tiny_cfg.seed, "test-rng", tag)),
-            agg_width=tiny_cfg.agg_width, expiry_ms=tiny_cfg.expiry_ms,
-            time_steps=spare)
-
-    initiator = device(INITIATOR_ID, "i")
-    responder = device(RESPONDER_ID, "j")
-    return initiator, responder, clock, keystore, device
+    """Fresh initiator/responder pair, provisioned as `handshake` does."""
+    return cli.provision(tiny_cfg, bundle)
 
 
 def max_gradient_mismatch(model, x, y, step=1e-4) -> float:

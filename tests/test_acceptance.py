@@ -5,6 +5,7 @@ the measured numbers behind its verdict. These tests exercise the full
 default configuration, so this file is the slowest in the suite.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -12,14 +13,13 @@ import pytest
 
 from attestlab import attestor, autoenc, cli, evalkit, handshake, quantize
 from attestlab import secure_channel as sc
-from attestlab import threshold, trace
+from attestlab import threshold
 from attestlab.attestor import (AttestationContext, OutcomeKind,
                                 encode_report, run_attestation)
+from attestlab.cli import INITIATOR_ID as ID_A
+from attestlab.cli import RESPONDER_ID as ID_B
 from attestlab.config import ExperimentConfig
 from attestlab.seeds import derive_seed
-
-ID_A = b"\x0a\x00\x00\x01"
-ID_B = b"\x0a\x00\x00\x02"
 
 DETERMINISM_CFG = """\
 seed = 11
@@ -283,32 +283,13 @@ def test_criterion_6_case_lattice():
 
 @pytest.fixture(scope="module")
 def protocol_rig(campaign):
+    """A fresh device pair per game, on its own key and device streams."""
     cfg, bundles, _, _ = campaign
-    b = bundles[0]
 
     def build(tag, unsafe_initiator=False):
-        clock = sc.SimulatedClock(10_000)
-        ks = sc.KeyStore.generate(
-            [ID_A, ID_B],
-            sc.RandomSource(derive_seed(cfg.seed, "accept-keys", tag)))
-        steps = b.spare_steps(cfg.twin_eval_traces)
-        init_profile = b.profile
-        if unsafe_initiator:
-            init_profile = trace.mutate_profile(
-                b.profile, "tamper_data", 1.0,
-                derive_seed(cfg.seed, "accept-mutant"))
-
-        def device(dev_id, profile, who):
-            return handshake.Device(
-                dev_id, profile,
-                derive_seed(cfg.seed, "accept-dev", tag, who),
-                b.qmodel, b.calibration.t_opt, ks, clock,
-                sc.RandomSource(derive_seed(cfg.seed, "accept-rng", tag,
-                                            who)),
-                agg_width=cfg.agg_width, expiry_ms=cfg.expiry_ms,
-                time_steps=steps)
-
-        return device(ID_A, init_profile, "i"), device(ID_B, b.profile, "j")
+        game_cfg = dataclasses.replace(
+            cfg, seed=derive_seed(cfg.seed, "accept", tag))
+        return cli.provision(game_cfg, bundles[0], unsafe_initiator)
 
     return build
 

@@ -2,11 +2,12 @@
 
 import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from attestlab import attestor, cli, model_io, trace
+from attestlab import attestor, cli, evalkit, model_io, trace
 from attestlab.config import config_digest, load_config
 from attestlab.seeds import derive_seed
 
@@ -261,6 +262,29 @@ def test_handshake_tamper_scenario_fails_closed(pipeline, tmp_path, capsys):
     assert outcome["verdict"] == "failed:bad_hmac"
     assert outcome["adversary_win"] is False
     assert "adversary_wins=0" in capsys.readouterr().out
+
+
+def test_bench_provisions_like_the_cli(tiny_cfg, monkeypatch):
+    # the bench provisions its own initiator/responder pair; it must be the
+    # pair `handshake` runs, or the bench times devices the CLI never builds
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    import workloads
+    devices, _, _ = workloads.provision(tiny_cfg)
+    bundle = evalkit.prepare_firmware(tiny_cfg, 0, with_mutants=False)
+    pair = cli.provision(tiny_cfg, bundle)
+    ids = (cli.INITIATOR_ID, cli.RESPONDER_ID)
+    for bench_dev, cli_dev in zip((devices["i"], devices["j"]), pair):
+        assert bench_dev.id == cli_dev.id
+        assert bench_dev.device_seed == cli_dev.device_seed
+        assert bench_dev._steps == cli_dev._steps
+        assert bench_dev.profile == cli_dev.profile
+        assert (model_io.quant_payload(bench_dev.ctx.qmodel)
+                == model_io.quant_payload(cli_dev.ctx.qmodel))
+        assert bench_dev.ctx.t_opt == cli_dev.ctx.t_opt
+        assert bench_dev.ctx.rng.bytes(32) == cli_dev.ctx.rng.bytes(32)
+        assert bench_dev.ctx.clock.now() == cli_dev.ctx.clock.now()
+        assert bench_dev.keystore.outer(*ids) == cli_dev.keystore.outer(*ids)
+        assert bench_dev.ctx.inner_keys == cli_dev.ctx.inner_keys
 
 
 # -------------------------------------------------------------------- eval

@@ -135,15 +135,6 @@ def test_score_single_class_has_no_auc():
     assert m.tpr == 0.0 and m.fnr == 1.0
 
 
-def test_score_as_dict_round_trips_fields():
-    m = evalkit.score([0.1, 0.9], [0, 1], t_opt=0.5)
-    d = m.as_dict()
-    assert d["tp"] == 1 and d["tn"] == 1
-    assert set(d) == {"tp", "tn", "fp", "fn", "accuracy", "precision",
-                      "tpr", "tnr", "fpr", "fnr", "f1_unsafe", "f1_safe",
-                      "auc"}
-
-
 def test_score_input_validation():
     with pytest.raises(ValueError, match="equal length"):
         evalkit.score([0.1], [0, 1], t_opt=0.5)

@@ -6,22 +6,15 @@ import pytest
 from attestlab import handshake as hs
 from attestlab import secure_channel as sc
 from attestlab import trace
+from attestlab.cli import IMPOSTOR_ID, INITIATOR_ID, RESPONDER_ID
 from attestlab.seeds import derive_seed
-
-from conftest import INITIATOR_ID, RESPONDER_ID
-
-IMPOSTOR_ID = bytes.fromhex("ee00ee1f")
-
-
-def _outer_key(keystore):
-    return keystore.outer(INITIATOR_ID, RESPONDER_ID)
 
 
 # ---------------------------------------------------------------------------
 # honest path
 
 def test_honest_session_completes(protocol_lab):
-    initiator, responder, _, _, _ = protocol_lab
+    initiator, responder = protocol_lab
     out = hs.run_session(initiator, responder, session_id="h1")
     assert out.completed
     assert out.verdict == "completed"
@@ -39,10 +32,10 @@ def test_honest_session_completes(protocol_lab):
 
 
 def test_honest_flow_wire_format(protocol_lab):
-    initiator, responder, _, keystore, _ = protocol_lab
+    initiator, responder = protocol_lab
     flows = hs.record_honest_session(initiator, responder)
     assert len(flows) == 4
-    key = _outer_key(keystore)
+    key = initiator.keystore.outer(INITIATOR_ID, RESPONDER_ID)
     senders = [INITIATOR_ID, RESPONDER_ID, INITIATOR_ID, RESPONDER_ID]
     for slot, (msg, sender) in enumerate(zip(flows, senders), start=1):
         assert msg.sender_id == sender
@@ -53,7 +46,7 @@ def test_honest_flow_wire_format(protocol_lab):
 
 
 def test_nonce_chain_is_consistent(protocol_lab):
-    initiator, responder, _, _, _ = protocol_lab
+    initiator, responder = protocol_lab
     i_state, m1 = hs.initiator_start(initiator, responder.id)
     r_state = hs.responder_start(responder, initiator.id)
     r_state, m2 = hs.step(responder, r_state, m1)
@@ -69,9 +62,9 @@ def test_nonce_chain_is_consistent(protocol_lab):
 
 
 def test_wire_never_leaks_inner_plaintext(protocol_lab):
-    initiator, responder, _, keystore, _ = protocol_lab
+    initiator, responder = protocol_lab
     out = hs.run_session(initiator, responder)
-    key = _outer_key(keystore)
+    key = initiator.keystore.outer(INITIATOR_ID, RESPONDER_ID)
     m1_plain = sc.dec(bytes.fromhex(out.transcript[0].payload_hex), key)
     n1, report = m1_plain[4:20], m1_plain[20:68]
     wire = "".join(e.payload_hex + e.tag_hex + e.sender_id
@@ -79,13 +72,13 @@ def test_wire_never_leaks_inner_plaintext(protocol_lab):
     assert n1.hex() not in wire
     assert report.hex() not in wire
     # the encrypted report is itself opaque: no inner-key plaintext fields
-    inner = keystore.inner(INITIATOR_ID, RESPONDER_ID)
+    inner = initiator.keystore.inner(INITIATOR_ID, RESPONDER_ID)
     report_plain = sc.dec(report, inner)
     assert report_plain[13:29].hex() not in wire  # report nonce stays inside
 
 
 def test_step_on_terminal_session_raises(protocol_lab):
-    initiator, responder, _, _, _ = protocol_lab
+    initiator, responder = protocol_lab
     i_state, m1 = hs.initiator_start(initiator, responder.id)
     i_state.phase = hs.FAILED
     with pytest.raises(ValueError):
@@ -93,7 +86,7 @@ def test_step_on_terminal_session_raises(protocol_lab):
 
 
 def test_initiator_start_without_keys_fails_closed(protocol_lab):
-    initiator, _, _, _, _ = protocol_lab
+    initiator, _ = protocol_lab
     state, msg = hs.initiator_start(initiator, IMPOSTOR_ID)
     assert state.phase == hs.FAILED
     assert state.fail_reason == hs.SETUP
@@ -101,7 +94,7 @@ def test_initiator_start_without_keys_fails_closed(protocol_lab):
 
 
 def test_unexpected_flow_order_fails_closed(protocol_lab):
-    initiator, responder, _, _, _ = protocol_lab
+    initiator, responder = protocol_lab
     i_state, m1 = hs.initiator_start(initiator, responder.id)
     # initiator in SENT1 fed its own first flow: wrong phase pattern
     i_state, out = hs.step(initiator, i_state, m1)
@@ -125,7 +118,7 @@ def test_out_of_phase_flow_fails_closed(protocol_lab, role, phase, driven,
     # a real flow under the pair's key, in a phase that expects another one
     # (a responder in SENT4 expects none: run_session hands it a second
     # flow 3 when one slot carries two actions)
-    initiator, responder, _, _, _ = protocol_lab
+    initiator, responder = protocol_lab
     recorded = hs.record_honest_session(initiator, responder)
     i_state, msg = hs.initiator_start(initiator, responder.id)
     r_state = hs.responder_start(responder, initiator.id)
@@ -151,7 +144,8 @@ def test_out_of_phase_flow_fails_closed(protocol_lab, role, phase, driven,
 # device sampling
 
 def test_device_cycles_given_time_steps(protocol_lab, bundle, tiny_cfg):
-    _, _, clock, keystore, _ = protocol_lab
+    initiator, _ = protocol_lab
+    clock, keystore = initiator.ctx.clock, initiator.keystore
     dev = hs.Device(INITIATOR_ID, bundle.profile, 1234, bundle.qmodel,
                     bundle.calibration.t_opt, keystore, clock,
                     sc.RandomSource(0), agg_width=tiny_cfg.agg_width,
@@ -165,7 +159,8 @@ def test_device_cycles_given_time_steps(protocol_lab, bundle, tiny_cfg):
 @pytest.mark.parametrize("n_steps", [5, 300])
 def test_device_pool_reads_rows_cyclically(protocol_lab, bundle, monkeypatch,
                                            n_steps):
-    _, _, clock, keystore, _ = protocol_lab
+    initiator, _ = protocol_lab
+    clock, keystore = initiator.ctx.clock, initiator.keystore
     steps = (np.arange(n_steps) * 7 + 3)[::-1]
     refills = []
 
@@ -185,7 +180,8 @@ def test_device_pool_reads_rows_cyclically(protocol_lab, bundle, monkeypatch,
 
 
 def test_device_rejects_empty_time_steps(protocol_lab, bundle, tiny_cfg):
-    _, _, clock, keystore, _ = protocol_lab
+    initiator, _ = protocol_lab
+    clock, keystore = initiator.ctx.clock, initiator.keystore
     args = (INITIATOR_ID, bundle.profile, 1, bundle.qmodel,
             bundle.calibration.t_opt, keystore, clock, sc.RandomSource(0))
     with pytest.raises(ValueError):
@@ -241,7 +237,7 @@ def test_tamper_flips_one_byte_of_one_field(target, field, offset):
 
 
 def test_dropped_flow_stalls_the_session(protocol_lab):
-    initiator, responder, _, _, _ = protocol_lab
+    initiator, responder = protocol_lab
     script = hs.AdversaryScript([hs.AdversaryAction(kind="drop", step=2)])
     out = hs.run_session(initiator, responder, script)
     assert not out.completed
@@ -253,7 +249,7 @@ def test_dropped_flow_stalls_the_session(protocol_lab):
 
 
 def test_tampered_ciphertext_rejected(protocol_lab):
-    initiator, responder, _, _, _ = protocol_lab
+    initiator, responder = protocol_lab
     script = hs.AdversaryScript([hs.AdversaryAction(kind="tamper", step=3,
                                                     target="m", byte_index=7)])
     out = hs.run_session(initiator, responder, script)
@@ -264,7 +260,7 @@ def test_tampered_ciphertext_rejected(protocol_lab):
 
 
 def test_tampered_tag_rejected(protocol_lab):
-    initiator, responder, _, _, _ = protocol_lab
+    initiator, responder = protocol_lab
     script = hs.AdversaryScript([hs.AdversaryAction(kind="tamper", step=2,
                                                     target="tag")])
     out = hs.run_session(initiator, responder, script)
@@ -275,7 +271,7 @@ def test_tampered_tag_rejected(protocol_lab):
 
 
 def test_tampered_sender_field_rejected(protocol_lab):
-    initiator, responder, _, _, _ = protocol_lab
+    initiator, responder = protocol_lab
     script = hs.AdversaryScript([hs.AdversaryAction(kind="tamper", step=1,
                                                     target="sender")])
     out = hs.run_session(initiator, responder, script)
@@ -284,7 +280,7 @@ def test_tampered_sender_field_rejected(protocol_lab):
 
 
 def test_impersonation_rejected(protocol_lab):
-    initiator, responder, _, _, _ = protocol_lab
+    initiator, responder = protocol_lab
     script = hs.AdversaryScript([hs.AdversaryAction(
         kind="impersonate", step=1, fake_sender=IMPOSTOR_ID)])
     out = hs.run_session(initiator, responder, script)
@@ -293,7 +289,7 @@ def test_impersonation_rejected(protocol_lab):
 
 
 def test_injected_garbage_rejected(protocol_lab):
-    initiator, responder, _, _, _ = protocol_lab
+    initiator, responder = protocol_lab
     junk = sc.RandomSource(13)
     fake = hs.HandshakeMessage(sender_id=INITIATOR_ID, m=junk.bytes(80),
                                i_tag=junk.bytes(32))
@@ -307,7 +303,7 @@ def test_injected_garbage_rejected(protocol_lab):
 def test_noop_tamper_counts_as_win(protocol_lab):
     # mask 0 leaves the bytes unchanged; the receiver must accept it, and
     # the accounting must honestly score an accepted altered flow as a win
-    initiator, responder, _, _, _ = protocol_lab
+    initiator, responder = protocol_lab
     script = hs.AdversaryScript([hs.AdversaryAction(kind="tamper", step=3,
                                                     target="m", xor_mask=0)])
     out = hs.run_session(initiator, responder, script)
@@ -316,7 +312,7 @@ def test_noop_tamper_counts_as_win(protocol_lab):
 
 
 def test_replayed_first_flow_is_caught_by_nonce_echo(protocol_lab):
-    initiator, responder, _, _, _ = protocol_lab
+    initiator, responder = protocol_lab
     flows = hs.record_honest_session(initiator, responder)
     script = hs.AdversaryScript([hs.AdversaryAction(kind="replay", step=1,
                                                     message=flows[0])])
@@ -330,7 +326,7 @@ def test_replayed_first_flow_is_caught_by_nonce_echo(protocol_lab):
 
 
 def test_full_session_replay_never_wins(protocol_lab):
-    initiator, responder, _, _, _ = protocol_lab
+    initiator, responder = protocol_lab
     flows = hs.record_honest_session(initiator, responder)
     script = hs.AdversaryScript(
         [hs.AdversaryAction(kind="replay", step=k, message=flows[k - 1])
@@ -344,7 +340,7 @@ def test_full_session_replay_never_wins(protocol_lab):
 
 
 def test_stale_replay_hits_report_expiry(protocol_lab, tiny_cfg):
-    initiator, responder, _, _, _ = protocol_lab
+    initiator, responder = protocol_lab
     flows = hs.record_honest_session(initiator, responder)
     script = hs.AdversaryScript([
         hs.AdversaryAction(kind="drop", step=1),
@@ -358,7 +354,7 @@ def test_stale_replay_hits_report_expiry(protocol_lab, tiny_cfg):
 
 
 def test_delayed_report_expires(protocol_lab, tiny_cfg):
-    initiator, responder, _, _, _ = protocol_lab
+    initiator, responder = protocol_lab
     script = hs.AdversaryScript([hs.AdversaryAction(
         kind="delay", step=1, delta_ms=tiny_cfg.expiry_ms + 1)])
     out = hs.run_session(initiator, responder, script)
@@ -368,7 +364,7 @@ def test_delayed_report_expires(protocol_lab, tiny_cfg):
 
 
 def test_delay_within_expiry_still_completes(protocol_lab, tiny_cfg):
-    initiator, responder, _, _, _ = protocol_lab
+    initiator, responder = protocol_lab
     script = hs.AdversaryScript([hs.AdversaryAction(
         kind="delay", step=1, delta_ms=tiny_cfg.expiry_ms)])
     out = hs.run_session(initiator, responder, script)
@@ -377,7 +373,8 @@ def test_delay_within_expiry_still_completes(protocol_lab, tiny_cfg):
 
 
 def test_cached_stale_report_rejected(protocol_lab, tiny_cfg):
-    initiator, responder, clock, _, _ = protocol_lab
+    initiator, responder = protocol_lab
+    clock = initiator.ctx.clock
     from attestlab.attestor import SAFE, encode_report
     stale = encode_report(initiator.ctx, responder.id, SAFE)
     clock.advance(tiny_cfg.expiry_ms + 1)
@@ -389,7 +386,8 @@ def test_cached_stale_report_rejected(protocol_lab, tiny_cfg):
 def test_future_timestamp_forgery_rejected(protocol_lab, tiny_cfg):
     # a compromised normal world flips IV byte 5 of a stale sealed report,
     # which moves t_ms 2**56 ms into the future
-    initiator, responder, clock, _, _ = protocol_lab
+    initiator, responder = protocol_lab
+    clock = initiator.ctx.clock
     from attestlab.attestor import SAFE, encode_report
     key = initiator.ctx.inner_key(responder.id)
     wins = 0
@@ -407,7 +405,8 @@ def test_future_timestamp_forgery_rejected(protocol_lab, tiny_cfg):
 
 
 def test_unsafe_sender_rejected(protocol_lab, bundle, tiny_cfg):
-    _, responder, clock, keystore, _ = protocol_lab
+    initiator, responder = protocol_lab
+    clock, keystore = initiator.ctx.clock, initiator.keystore
     unsafe_dev = hs.Device(
         INITIATOR_ID, bundle.profile,
         derive_seed(tiny_cfg.seed, "test-device", "unsafe"), bundle.qmodel,
@@ -422,7 +421,8 @@ def test_unsafe_sender_rejected(protocol_lab, bundle, tiny_cfg):
 
 def test_record_honest_session_raises_when_blocked(protocol_lab, bundle,
                                                    tiny_cfg):
-    initiator, responder, clock, _, _ = protocol_lab
+    initiator, responder = protocol_lab
+    clock = initiator.ctx.clock
     lonely = sc.KeyStore()  # no provisioned pairs at all
     dev = hs.Device(INITIATOR_ID, bundle.profile, 77, bundle.qmodel,
                     bundle.calibration.t_opt, lonely, clock,
