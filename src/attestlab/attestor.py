@@ -42,12 +42,6 @@ class OutcomeKind(enum.Enum):
     COMPLETED = "completed"
 
 
-ABORT_KINDS = frozenset({
-    OutcomeKind.ABORT_NO_SENDER_ID, OutcomeKind.ABORT_TRIVIAL_INPUT,
-    OutcomeKind.ABORT_INCONSISTENT_ID, OutcomeKind.ABORT_EXPIRED_REPORT,
-})
-
-
 @dataclass(frozen=True)
 class AttestOutcome:
     kind: OutcomeKind

@@ -209,7 +209,6 @@ class FirmwareResult:
     firmware_index: int
     calibration: threshold.CalibrationResult
     metrics: MetricsReport
-    val_tnr: float
     size: quantize.SizeReport
 
 
@@ -229,7 +228,8 @@ def _macro(per_fw: list[FirmwareResult]) -> dict:
         vals = [getattr(r.metrics, k) for r in per_fw]
         vals = [v for v in vals if v is not None]
         out[k] = float(np.mean(vals)) if vals else None
-    out["val_tnr"] = float(np.mean([r.val_tnr for r in per_fw]))
+    out["val_tnr"] = float(np.mean(
+        [r.calibration.achieved_tnr for r in per_fw]))
     out["reduction_factor"] = float(np.mean(
         [r.size.reduction_factor for r in per_fw]))
     return out
@@ -261,11 +261,9 @@ def run_experiment(cfg: ExperimentConfig,
         labels = np.concatenate([np.zeros(neg.size, dtype=int),
                                  np.ones(pos.size, dtype=int)])
         metrics = score(errors, labels, b.calibration.t_opt)
-        val_tnr = float(np.mean(
-            q_errors(b.qmodel, b.dataset.val) < b.calibration.t_opt))
         results.append(FirmwareResult(
             firmware_index=i, calibration=b.calibration, metrics=metrics,
-            val_tnr=val_tnr, size=quantize.size_report(b.model, b.qmodel)))
+            size=quantize.size_report(b.model, b.qmodel)))
     res = ExperimentResult(config_digest=config_digest(cfg), seed=cfg.seed,
                            per_firmware=results)
     res.macro = _macro(results)
@@ -282,21 +280,18 @@ class TwinResult:
     n_twin_unsafe: int
 
 
-def twin_transfer(cfg: ExperimentConfig,
-                  bundle: FirmwareBundle | None = None) -> TwinResult:
+def twin_transfer(cfg: ExperimentConfig, bundle: FirmwareBundle) -> TwinResult:
     """Train on one device, attest its twin.
 
     Twins share the firmware's data-section behaviour, so a model
     trained on device A should keep its false-alarm rate on device B
     while still flagging mutated or foreign firmware running on B.
-    `bundle` is firmware 0's pipeline, prepared here when not given.
+    `bundle` is firmware 0's pipeline.
     """
     if cfg.twin_eval_traces < cfg.traces_per_mutant:
         raise ValueError("twin_eval_traces must be >= traces_per_mutant; "
                          "mutant positives reuse the twin step sample")
-    if bundle is None:
-        bundle = prepare_firmware(cfg, 0)
-    elif bundle.firmware_seed != derive_seed(cfg.seed, "firmware", 0):
+    if bundle.firmware_seed != derive_seed(cfg.seed, "firmware", 0):
         raise ValueError("twin_transfer needs firmware 0's bundle")
     fw_seed = bundle.firmware_seed
     twin_seed = derive_seed(fw_seed, "device", 1)
@@ -344,7 +339,7 @@ def format_experiment_report(res: ExperimentResult) -> str:
             "%.6f" % c.gamma,
             "%.2f" % c.tnr_target,
             "%.9e" % c.t_opt,
-            "%.6f" % r.val_tnr,
+            "%.6f" % c.achieved_tnr,
             "%.6f" % m.tnr,
             "%.6f" % m.tpr,
             "%.6f" % m.f1_unsafe,

@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import io
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -158,10 +158,7 @@ def parse_float_payload(buf: bytes) -> AutoencoderModel:
     arch = _name(_ARCH_NAME, arch_code, "architecture")
     meta = None
     if r.take("B"):
-        epochs, batch, lr, seed, final_mse = r.take("IIfQd")
-        meta = TrainMeta(epochs=epochs, batch_size=batch,
-                         learning_rate=float(lr), seed=seed,
-                         final_train_mse=float(final_mse))
+        meta = TrainMeta(*r.take("IIfQd"))
     layers = [_read_layer(r, quant=False) for _ in range(r.take("H"))]
     return AutoencoderModel(arch=arch, input_dim=input_dim,
                             layers=layers, dropout_rate=float(dropout),
@@ -212,26 +209,21 @@ def _parse_kv_text(buf: bytes) -> dict:
     return out
 
 
+# text of a calibration value, and its parse, by the field's declared type
+_FIELD_TEXT = {"float": repr, "int": int, "bool": int}
+_FIELD_PARSE = {"float": float, "int": int, "bool": lambda v: bool(int(v))}
+
+
 def calibration_payload(result: CalibrationResult) -> bytes:
-    return _kv_text({
-        "gamma": repr(result.gamma), "p95": repr(result.p95),
-        "p99": repr(result.p99), "tnr_target": repr(result.tnr_target),
-        "t_opt": repr(result.t_opt),
-        "achieved_tnr": repr(result.achieved_tnr),
-        "exact": int(result.exact), "n_val": result.n_val,
-        "iterations": result.iterations,
-    })
+    return _kv_text({f.name: _FIELD_TEXT[f.type](getattr(result, f.name))
+                     for f in fields(CalibrationResult)})
 
 
 def parse_calibration_payload(buf: bytes) -> CalibrationResult:
     d = _parse_kv_text(buf)
     try:
-        return CalibrationResult(
-            gamma=float(d["gamma"]), p95=float(d["p95"]), p99=float(d["p99"]),
-            tnr_target=float(d["tnr_target"]), t_opt=float(d["t_opt"]),
-            achieved_tnr=float(d["achieved_tnr"]),
-            exact=bool(int(d["exact"])), n_val=int(d["n_val"]),
-            iterations=int(d["iterations"]))
+        return CalibrationResult(**{f.name: _FIELD_PARSE[f.type](d[f.name])
+                                    for f in fields(CalibrationResult)})
     except KeyError as e:
         raise ContainerError("calibration record missing %s" % e) from None
 

@@ -2,7 +2,7 @@
 
 AES-128-CBC with PKCS#7 padding and a fresh random IV per message,
 HMAC-SHA256 message tags, a seedable randomness source so simulations are
-reproducible, and simulated/system millisecond clocks.
+reproducible, and a simulated millisecond clock.
 
 CBC is written out around a keyed AES block cipher (NIST SP 800-38A,
 6.2): C_0 = IV, C_i = E_K(P_i xor C_{i-1}) and P_i = D_K(C_i) xor C_{i-1}.
@@ -22,7 +22,6 @@ import hashlib
 import hmac as _hmac
 import secrets
 import random
-import time
 
 from cryptography.hazmat.primitives import padding
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -73,13 +72,6 @@ class SimulatedClock:
         if delta_ms < 0:
             raise ValueError("clock cannot move backwards")
         self._now += int(delta_ms)
-
-
-class SystemClock:
-    """Monotonic wall clock in milliseconds (live mode)."""
-
-    def now(self) -> int:
-        return time.monotonic_ns() // 1_000_000
 
 
 def _check_key(key: bytes) -> None:
@@ -173,9 +165,6 @@ class KeyStore:
 
     def inner(self, a: bytes, b: bytes) -> bytes:
         return self._inner[self._pair(a, b)]
-
-    def has_pair(self, a: bytes, b: bytes) -> bool:
-        return self._pair(a, b) in self._outer
 
     def peers(self, a: bytes) -> list[bytes]:
         """Device ids that share keys with a, sorted."""

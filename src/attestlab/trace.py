@@ -14,7 +14,7 @@ import csv
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -84,10 +84,6 @@ class FirmwareProfile:
     def stack_len(self) -> int:
         raw = sum(self.stack.frame_sizes)
         return raw + (-raw) % 4
-
-    @property
-    def total_len(self) -> int:
-        return self.data_section_len + self.stack_len
 
     @property
     def label(self) -> str:
@@ -446,42 +442,21 @@ def build_dataset(safe: np.ndarray, unsafe: np.ndarray | None = None, *,
 # serialization
 
 def profile_to_dict(profile: FirmwareProfile) -> dict:
-    d = {
-        "format_version": PROFILE_FORMAT_VERSION,
-        "firmware_id": profile.firmware_id,
-        "firmware_seed": profile.firmware_seed,
-        "data_section_len": profile.data_section_len,
-        "variables": [
-            {"offset": v.offset, "width": v.width, "kind": v.kind,
-             "init_seed": v.init_seed} for v in profile.variables
-        ],
-        "stack": {"frame_sizes": list(profile.stack.frame_sizes),
-                  "fill_fraction": profile.stack.fill_fraction},
-        "mutation": None,
-    }
-    if profile.mutation is not None:
-        d["mutation"] = {"kind": profile.mutation.kind,
-                         "severity": profile.mutation.severity,
-                         "seed": profile.mutation.seed}
-    return d
+    return {"format_version": PROFILE_FORMAT_VERSION, **asdict(profile)}
 
 
 def profile_from_dict(d: dict) -> FirmwareProfile:
     if d.get("format_version") != PROFILE_FORMAT_VERSION:
         raise ValueError("unsupported profile format version: %r"
                          % d.get("format_version"))
-    mutation = None
-    if d.get("mutation") is not None:
-        m = d["mutation"]
-        mutation = Mutation(kind=m["kind"], severity=m["severity"],
-                            seed=m["seed"])
-    return FirmwareProfile(
-        firmware_id=d["firmware_id"], firmware_seed=d["firmware_seed"],
-        data_section_len=d["data_section_len"],
+    fields = {k: v for k, v in d.items() if k != "format_version"}
+    stack, mutation = d["stack"], d.get("mutation")
+    fields.update(
         variables=tuple(Variable(**v) for v in d["variables"]),
-        stack=StackPattern(frame_sizes=tuple(d["stack"]["frame_sizes"]),
-                           fill_fraction=d["stack"]["fill_fraction"]),
-        mutation=mutation)
+        stack=StackPattern(**dict(stack,
+                                  frame_sizes=tuple(stack["frame_sizes"]))),
+        mutation=None if mutation is None else Mutation(**mutation))
+    return FirmwareProfile(**fields)
 
 
 def save_profile(path, profile: FirmwareProfile) -> None:

@@ -152,8 +152,9 @@ def test_criterion_3_detection_suite(campaign):
 
 
 def test_criterion_4_twin_transfer():
+    cfg = ExperimentConfig()
     t0 = time.perf_counter()
-    res = evalkit.twin_transfer(ExperimentConfig())
+    res = evalkit.twin_transfer(cfg, evalkit.prepare_firmware(cfg, 0))
     elapsed = time.perf_counter() - t0
     assert res.metrics.tnr >= 0.95, "twin tnr %.4f" % res.metrics.tnr
     assert res.metrics.tpr >= 0.98, "twin tpr %.4f" % res.metrics.tpr

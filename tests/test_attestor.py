@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from attestlab import attestor, quantize, secure_channel as sc
-from attestlab.attestor import (ABORT_KINDS, AttestationContext,
+from attestlab.attestor import (AttestationContext,
                                 ConfigurationError, OutcomeKind,
                                 encode_report, run_attestation, self_attest,
                                 validate_report)
@@ -13,6 +13,10 @@ from attestlab.autoenc import init_model
 ID_A = b"\x0a\x00\x00\x01"
 ID_B = b"\x0a\x00\x00\x02"
 KEY = bytes(range(16))
+ABORT_KINDS = frozenset({
+    OutcomeKind.ABORT_NO_SENDER_ID, OutcomeKind.ABORT_TRIVIAL_INPUT,
+    OutcomeKind.ABORT_INCONSISTENT_ID, OutcomeKind.ABORT_EXPIRED_REPORT,
+})
 
 
 def _qmodel(l=8, seed=0):

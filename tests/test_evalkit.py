@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from attestlab import autoenc, evalkit, quantize, threshold, trace
+from attestlab import autoenc, evalkit, quantize, trace
 from attestlab.config import config_digest
 from attestlab.seeds import derive_seed
 
@@ -309,7 +309,8 @@ def test_run_experiment_population_counts(experiment, two_bundles):
 def test_run_experiment_val_tnr_recomputes(experiment, two_bundles):
     for r, b in zip(experiment.per_firmware, two_bundles):
         errs = evalkit.q_errors(b.qmodel, b.dataset.val)
-        assert r.val_tnr == float(np.mean(errs < r.calibration.t_opt))
+        assert r.calibration.achieved_tnr \
+            == float(np.mean(errs < r.calibration.t_opt))
 
 
 def test_run_experiment_macro_is_mean_of_per_firmware(experiment):
@@ -318,7 +319,7 @@ def test_run_experiment_macro_is_mean_of_per_firmware(experiment):
         want = float(np.mean([getattr(r.metrics, key) for r in per]))
         assert experiment.macro[key] == pytest.approx(want)
     assert experiment.macro["val_tnr"] == pytest.approx(
-        float(np.mean([r.val_tnr for r in per])))
+        float(np.mean([r.calibration.achieved_tnr for r in per])))
     assert set(experiment.macro) == {
         "accuracy", "precision", "tpr", "tnr", "fpr", "fnr",
         "f1_unsafe", "f1_safe", "auc", "val_tnr", "reduction_factor"}
@@ -355,8 +356,8 @@ def test_experiment_report_is_deterministic(tiny_cfg, two_bundles):
 
 
 @pytest.fixture(scope="module")
-def twin_result(tiny_cfg):
-    return evalkit.twin_transfer(tiny_cfg)
+def twin_result(tiny_cfg, bundle):
+    return evalkit.twin_transfer(tiny_cfg, bundle)
 
 
 def test_twin_transfer_population_counts(twin_result, tiny_cfg):
@@ -377,21 +378,15 @@ def test_twin_transfer_embeds_config_identity(twin_result, tiny_cfg):
     assert twin_result.calibration.t_opt > 0.0
 
 
-def test_twin_transfer_reuses_prepared_bundle(twin_result, tiny_cfg, bundle):
-    reused = evalkit.twin_transfer(tiny_cfg, bundle)
-    assert evalkit.format_twin_report(reused) \
-        == evalkit.format_twin_report(twin_result)
-
-
 def test_twin_transfer_rejects_other_firmware_bundle(tiny_cfg, two_bundles):
     with pytest.raises(ValueError, match="firmware 0"):
         evalkit.twin_transfer(tiny_cfg, two_bundles[1])
 
 
-def test_twin_transfer_rejects_short_eval_window():
+def test_twin_transfer_rejects_short_eval_window(bundle):
     cfg = tiny_config(twin_eval_traces=6)
     with pytest.raises(ValueError, match="twin_eval_traces"):
-        evalkit.twin_transfer(cfg)
+        evalkit.twin_transfer(cfg, bundle)
 
 
 def test_twin_report_format(twin_result):

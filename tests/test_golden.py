@@ -41,10 +41,14 @@ ARTIFACT_DIGESTS = {
         "e8653490d05a9d140d34053f810be6943d616b9e7b227a4a5b2ecd68253c0c92",
     "eval/twin.txt":
         "4182f9ae14240b308058f08888e749dae533b4d49886042927a6ab59299af75a",
+    "gen/fw0/profile.json":
+        "384b04ab95ca40f0f8f75fd3aa16e1390b7bbb6043e5541f8f3afae53bb574f3",
     "gen/fw0/safe.csv":
         "bfd03a5033b3d680065fb0aae4d9fd7b5e6179e5d6073f14e34c8a7661b6c248",
     "gen/fw0/tamper_data_1.csv":
         "ae33b41d96818cb0718418554dd12127a15f119151e969731e699099275a9108",
+    "gen/fw0/tamper_data_1_profile.json":
+        "636865513468a720bd03e8d6cf6835c213ab91bd68b3947a7339833448e9ce70",
     "handshake/drop.jsonl":
         "8ee1d7695a35fcbed7d9e594ecaad5ed1f8f35fa3ed37a48f84654a3a61fcde6",
     "handshake/expired_report.jsonl":

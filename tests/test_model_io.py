@@ -173,6 +173,17 @@ def test_calibration_roundtrip_exact():
     assert loaded == result  # repr round trip keeps every float bit
 
 
+def test_calibration_payload_text_of_fallback_record():
+    # 20 evenly spaced errors: no threshold reaches 0.99 within tolerance,
+    # so the search falls back to the achievable 0.95 (exact=0)
+    result = threshold.calibrate(np.arange(1, 21) / 8.0)
+    text = (b"gamma=0.039895013123359475\np95=2.38125\np99=2.47625\n"
+            b"tnr_target=0.99\nt_opt=2.5\nachieved_tnr=0.95\nexact=0\n"
+            b"n_val=20\niterations=64\n")
+    assert model_io.calibration_payload(result) == text
+    assert model_io.parse_calibration_payload(text) == result
+
+
 def test_calibration_payload_missing_key():
     with pytest.raises(ContainerError, match="missing"):
         model_io.parse_calibration_payload(b"gamma=0.5\n")

@@ -247,14 +247,6 @@ def test_simulated_clock():
         sc.SimulatedClock(start_ms=-5)
 
 
-def test_system_clock_monotonic():
-    clock = sc.SystemClock()
-    a = clock.now()
-    b = clock.now()
-    assert isinstance(a, int)
-    assert b >= a
-
-
 # ---------------------------------------------------------------------------
 # keystore
 
@@ -265,8 +257,6 @@ def test_keystore_contract():
     assert ks.outer(a, b) == KEY_A
     assert ks.outer(b, a) == KEY_A  # unordered pair
     assert ks.inner(a, b) == KEY_B
-    assert ks.has_pair(a, b)
-    assert not ks.has_pair(a, b"\xee\x00\xee\x1f")
     assert ks.peers(a) == [b]
     with pytest.raises(KeyError):
         ks.outer(a, b"\xee\x00\xee\x1f")
@@ -289,7 +279,6 @@ def test_keystore_generate_distinct_keys():
     seen = set()
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
-            assert ks.has_pair(a, b)
             seen.add(ks.outer(a, b))
             seen.add(ks.inner(a, b))
     assert len(seen) == 2 * 6  # every provisioned key is unique

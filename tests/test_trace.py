@@ -174,7 +174,7 @@ def test_sample_trace_deterministic():
     t1 = trace.sample_traces(prof, device_seed=42, time_steps=[17])
     t2 = trace.sample_traces(prof, device_seed=42, time_steps=[17])
     assert np.array_equal(t1.data, t2.data)
-    assert t1.data.shape == (1, prof.total_len)
+    assert t1.data.shape == (1, prof.data_section_len + prof.stack_len)
     assert t1.data.dtype == np.uint8
     assert list(t1.labels) == ["safe"]
 
@@ -196,7 +196,8 @@ def test_sample_traces_fills_columns():
     assert batch.firmware_ids.tolist() == [mut.firmware_id] * 3
     assert batch.labels.tolist() == ["unsafe"] * 3
     empty = trace.sample_traces(prof, 42, [])
-    assert len(empty) == 0 and empty.data.shape == (0, prof.total_len)
+    assert len(empty) == 0 and empty.data.shape == (
+        0, prof.data_section_len + prof.stack_len)
 
 
 def test_twins_share_data_section_and_differ_on_stack():
@@ -491,7 +492,8 @@ def test_aggregate_many_matches_aggregate_on_mixed_lengths(s):
         n = data.shape[1] // s * s
         assert trace.aggregate_many(data, s=s, length=n).tobytes() \
             == np.stack([_aggregate_oracle(r, s, n) for r in data]).tobytes()
-    assert mut.total_len > prof.total_len
+    assert (mut.data_section_len + mut.stack_len
+            > prof.data_section_len + prof.stack_len)
 
 
 def test_aggregate_many_errors():
