@@ -99,11 +99,11 @@ class ExperimentConfig:
 
 def _parse_value(field: dataclasses.Field, raw: str):
     raw = raw.strip()
-    if field.type == "int" or field.type is int:
+    if field.type == "int":
         return int(raw)
-    if field.type == "float" or field.type is float:
+    if field.type == "float":
         return float(raw)
-    if field.type == "tuple" or field.type is tuple:
+    if field.type == "tuple":
         parts = [p for p in raw.split(",") if p.strip()]
         return tuple(float(p) for p in parts)
     return raw

@@ -112,18 +112,16 @@ class FirmwareBundle:
     model: autoenc.AutoencoderModel
     qmodel: quantize.QuantizedModel
     calibration: threshold.CalibrationResult
-    safe_features: np.ndarray
     step_perm: np.ndarray
     corpus_size: int
 
-    def spare_steps(self, count: int, offset: int = 0) -> np.ndarray:
+    def spare_steps(self, count: int) -> np.ndarray:
         """In-horizon steps never used by the training corpus."""
-        start = self.corpus_size + offset
-        spare = self.step_perm[start:start + count]
+        spare = self.step_perm[self.corpus_size:self.corpus_size + count]
         if len(spare) < count:
             raise ValueError("horizon too small: %d spare steps requested, "
                              "%d available; raise horizon_factor"
-                             % (count, max(0, len(self.step_perm) - start)))
+                             % (count, len(spare)))
         return spare
 
 
@@ -201,7 +199,7 @@ def prepare_firmware(cfg: ExperimentConfig, fw_index: int,
     qmodel = quantize.quantize_model(model, ds.train)
     calib = threshold.calibrate(q_errors(qmodel, ds.val))
     return FirmwareBundle(fw_seed, profile, mutants, ds, model, qmodel,
-                          calib, safe, step_perm, cfg.safe_traces)
+                          calib, step_perm, cfg.safe_traces)
 
 
 @dataclass
@@ -252,7 +250,8 @@ def run_experiment(cfg: ExperimentConfig,
         pos_feats = [b.dataset.test_unsafe]
         for j, other in enumerate(bundles):
             if j != i:
-                pos_feats += [other.safe_features, other.dataset.test_unsafe]
+                d = other.dataset
+                pos_feats += [d.train, d.val, d.test_safe, d.test_unsafe]
         # rows score independently, so scoring the non-empty blocks one by
         # one gives the errors of one stacked matrix without building it
         pos = np.concatenate([q_errors(b.qmodel, f) for f in pos_feats

@@ -70,9 +70,12 @@ class SessionState:
 
 
 class Device:
-    """Simulated device: SRAM view, trusted attestation context, outer keys."""
+    """Simulated device: SRAM view, trusted attestation context, outer keys.
 
-    POOL_ROWS = 256   # SRAM snapshots sampled per pool refill
+    The SRAM snapshots at the given time steps are sampled once, when the
+    device is built; self-check k reads the one at
+    time_steps[k % len(time_steps)].
+    """
 
     def __init__(self, device_id: bytes, profile: FirmwareProfile,
                  device_seed: int, qmodel: QuantizedModel, t_opt: float,
@@ -80,14 +83,11 @@ class Device:
                  agg_width: int = 4, expiry_ms: int = DEFAULT_EXPIRY_MS, *,
                  time_steps):
         self.id = bytes(device_id)
-        self.profile = profile
-        self.device_seed = device_seed
         self.keystore = keystore
-        self._steps = [int(t) for t in time_steps]
-        if not self._steps:
+        self.sram = sample_traces(profile, device_seed, time_steps)
+        if not len(self.sram):
             raise ValueError("time_steps must be non-empty")
         self._reads = 0
-        self._pool = None
         inner = {p: keystore.inner(self.id, p)
                  for p in keystore.peers(self.id)}
         self.ctx = AttestationContext(
@@ -96,15 +96,9 @@ class Device:
             agg_width=agg_width, expiry_ms=expiry_ms)
 
     def _sram_view(self):
-        """Read k is the snapshot at time_steps[k % len(time_steps)]."""
-        row = self._reads % self.POOL_ROWS
-        if row == 0:
-            steps = [self._steps[(self._reads + k) % len(self._steps)]
-                     for k in range(self.POOL_ROWS)]
-            self._pool = sample_traces(self.profile, self.device_seed,
-                                       steps).data
+        row = self.sram.data[self._reads % len(self.sram)]
         self._reads += 1
-        return self._pool[row]
+        return row
 
     def outer_key(self, peer_id: bytes) -> bytes:
         return self.keystore.outer(self.id, peer_id)

@@ -11,7 +11,6 @@ so the downstream detector sees values in [0, 1].
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -28,8 +27,6 @@ LABELS = ("safe", "unsafe")
 
 PROFILE_FORMAT_VERSION = 1
 
-# shortest memoized random-walk path; longer ones round up to a power of two
-_MIN_WALK_STEPS = 4096
 _CSV_HEAD = ["device_id", "firmware_id", "time_step", "label"]
 _CSV_BLOCK_CHARS = 1 << 20  # ~350 default-config rows; bounds memory only
 _BYTE_CELLS = np.array([",%d" % i for i in range(256)], dtype=object)
@@ -286,35 +283,29 @@ def _clamped_walk(base: int, steps: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=64)
 def _walk_path(firmware_seed: int, init_seed: int, width: int,
                length: int) -> np.ndarray:
-    """(length + 1, width) read-only uint8 path of one random walk.
+    """(length + 1, width) uint8 path of one random walk.
 
     Each column starts at the variable's base value and takes +-1 steps,
     clamped to [0, 255]. Steps are drawn in one batch, so the first k rows
-    are the same for every length >= k.
+    are the same for every length >= k: a path as long as the largest
+    requested step gives the values that any longer one would.
     """
     base = rng(firmware_seed, "var", init_seed).integers(
         0, 256, size=width, dtype=np.int64)
     steps = rng(firmware_seed, "walk", init_seed).choice(
         np.array([-1, 1], dtype=np.int64), size=(length, width))
     cols = [_clamped_walk(int(b), col) for b, col in zip(base, steps.T)]
-    path = np.array(cols, dtype=np.uint8).T
-    path.flags.writeable = False
-    return path
+    return np.array(cols, dtype=np.uint8).T
 
 
 def _variable_values(profile: FirmwareProfile, var: Variable,
                      time_steps: np.ndarray) -> np.ndarray:
     """(T, width) uint8 values of one variable at the requested steps."""
     if var.kind == "random_walk":
-        # round the length up so every batch of steps, and every profile
-        # sharing the variable, reuses one memoized path
-        max_t = int(time_steps.max(initial=0))
-        length = max(_MIN_WALK_STEPS, 1 << (max_t - 1).bit_length())
         return _walk_path(profile.firmware_seed, var.init_seed, var.width,
-                          length)[time_steps]
+                          int(time_steps.max(initial=0)))[time_steps]
     g = rng(profile.firmware_seed, "var", var.init_seed)
     base = g.integers(0, 256, size=var.width, dtype=np.int64)
     t = time_steps[:, None]
@@ -520,32 +511,36 @@ def _parse_rows(f, width: int, header_line: int):
     """Per-row csv.reader parse; errors name the physical line."""
     fields, rows = [], []
     reader = csv.reader(f)
-    for row in reader:
-        lineno = header_line + reader.line_num
-        if len(row) != 4 + width:
-            raise ValueError("line %d: expected %d fields, got %d"
-                             % (lineno, 4 + width, len(row)))
-        try:
-            step = int(row[2])
-        except ValueError:
-            raise ValueError("line %d: time_step is not an integer"
-                             % lineno) from None
-        if step < 0:
-            raise ValueError("line %d: negative time_step" % lineno)
-        if row[3] not in LABELS:
-            raise ValueError("line %d: label must be safe|unsafe" % lineno)
-        try:
-            data = np.array(row[4:], dtype=np.int64)
-            if ((data < 0) | (data > 255)).any():
-                raise OverflowError
-        except ValueError:
-            raise ValueError("line %d: non-integer byte value"
-                             % lineno) from None
-        except OverflowError:
-            raise ValueError("line %d: byte value out of range 0..255"
-                             % lineno) from None
-        fields.append((row[0], row[1], step, row[3]))
-        rows.append(data)
+    try:
+        for row in reader:
+            lineno = header_line + reader.line_num
+            if len(row) != 4 + width:
+                raise ValueError("line %d: expected %d fields, got %d"
+                                 % (lineno, 4 + width, len(row)))
+            try:
+                step = int(row[2])
+            except ValueError:
+                raise ValueError("line %d: time_step is not an integer"
+                                 % lineno) from None
+            if step < 0:
+                raise ValueError("line %d: negative time_step" % lineno)
+            if row[3] not in LABELS:
+                raise ValueError("line %d: label must be safe|unsafe" % lineno)
+            try:
+                data = np.array(row[4:], dtype=np.int64)
+                if ((data < 0) | (data > 255)).any():
+                    raise OverflowError
+            except ValueError:
+                raise ValueError("line %d: non-integer byte value"
+                                 % lineno) from None
+            except OverflowError:
+                raise ValueError("line %d: byte value out of range 0..255"
+                                 % lineno) from None
+            fields.append((row[0], row[1], step, row[3]))
+            rows.append(data)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ValueError("line %d: %s" % (header_line + reader.line_num,
+                                          exc)) from None
     return fields, [np.array(rows, dtype=np.uint8).reshape(len(rows), width)]
 
 
@@ -558,7 +553,10 @@ def import_traces(path) -> TraceBatch:
             lineno += 1
             line = f.readline()
         lineno += 1
-        header = next(csv.reader([line])) if line else []
+        try:
+            header = next(csv.reader([line])) if line else []
+        except csv.Error as exc:
+            raise ValueError("line %d: %s" % (lineno, exc)) from None
         if header[:4] != _CSV_HEAD:
             raise ValueError("line %d: bad header" % lineno)
         width = len(header) - 4

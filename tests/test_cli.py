@@ -275,9 +275,10 @@ def test_bench_provisions_like_the_cli(tiny_cfg, monkeypatch):
     ids = (cli.INITIATOR_ID, cli.RESPONDER_ID)
     for bench_dev, cli_dev in zip((devices["i"], devices["j"]), pair):
         assert bench_dev.id == cli_dev.id
-        assert bench_dev.device_seed == cli_dev.device_seed
-        assert bench_dev._steps == cli_dev._steps
-        assert bench_dev.profile == cli_dev.profile
+        for col in ("data", "time_steps", "device_ids", "firmware_ids",
+                    "labels"):
+            assert np.array_equal(getattr(bench_dev.sram, col),
+                                  getattr(cli_dev.sram, col))
         assert (model_io.quant_payload(bench_dev.ctx.qmodel)
                 == model_io.quant_payload(cli_dev.ctx.qmodel))
         assert bench_dev.ctx.t_opt == cli_dev.ctx.t_opt
@@ -331,6 +332,16 @@ def test_missing_files_exit_3(argv, pipeline, tmp_path, capsys):
                      "--out", str(tmp_path)])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_train_on_overlong_csv_field_exits_3(pipeline, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("device_id,firmware_id,time_step,label,b0\n"
+                   '"%s",f,0,safe,1\n' % ("x" * 200_000))
+    code = cli.main(["train", "--traces", str(bad), "--config",
+                     str(pipeline["cfg_path"]), "--out", str(tmp_path)])
+    assert code == 3
+    assert "line 2: field larger" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sub", ["gen", "train", "quantize", "calibrate",

@@ -64,6 +64,13 @@ def test_build_config_types_values_per_field():
         config.build_config({"seed": "banana"})
 
 
+def test_every_field_type_is_one_the_parser_knows():
+    # annotations are strings; an unknown one (say "bool") would parse as
+    # the raw text, so "false" would be a truthy value
+    types = {f.type for f in dataclasses.fields(ExperimentConfig)}
+    assert types <= {"str", "int", "float", "tuple"}
+
+
 def test_build_config_precedence_and_unknown_keys(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("seed = 3\nepochs = 10\n")

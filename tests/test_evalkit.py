@@ -208,12 +208,6 @@ def test_spare_steps_disjoint_from_corpus(bundle, tiny_cfg):
     assert spare.min() >= 0 and spare.max() < horizon
 
 
-def test_spare_steps_offset_gives_fresh_steps(bundle):
-    a = bundle.spare_steps(20)
-    b = bundle.spare_steps(20, offset=20)
-    assert not (set(a.tolist()) & set(b.tolist()))
-
-
 def test_spare_steps_overdraw_raises(bundle, tiny_cfg):
     available = tiny_cfg.safe_traces * (tiny_cfg.horizon_factor - 1)
     with pytest.raises(ValueError, match="horizon too small"):
@@ -230,9 +224,8 @@ def test_bundle_dataset_and_feature_shapes(bundle, tiny_cfg):
                  + len(tiny_cfg.control_flow_severities))
     assert len(bundle.mutants) == n_mutants
     assert ds.test_unsafe.shape[0] == n_mutants * tiny_cfg.traces_per_mutant
-    assert ds.train.shape[1] == tiny_cfg.feature_dim
-    assert bundle.safe_features.shape == (n, tiny_cfg.feature_dim)
-    assert ds.test_unsafe.shape[1] == tiny_cfg.feature_dim
+    for part in (ds.train, ds.val, ds.test_safe, ds.test_unsafe):
+        assert part.shape[1] == tiny_cfg.feature_dim
 
 
 def test_prepare_firmware_aggregates_each_row_once(monkeypatch, tiny_cfg):
@@ -293,12 +286,13 @@ def test_run_experiment_requires_two_firmware(tiny_cfg, bundle):
         evalkit.run_experiment(tiny_cfg, [bundle])
 
 
-def test_run_experiment_population_counts(experiment, two_bundles):
+def test_run_experiment_population_counts(experiment, two_bundles,
+                                          tiny_cfg):
     for i, r in enumerate(experiment.per_firmware):
         b = two_bundles[i]
         other = two_bundles[1 - i]
-        n_pos = (b.dataset.test_unsafe.shape[0]
-                 + other.safe_features.shape[0]
+        # every safe trace of the other firmware is a positive
+        n_pos = (b.dataset.test_unsafe.shape[0] + tiny_cfg.safe_traces
                  + other.dataset.test_unsafe.shape[0])
         n_neg = b.dataset.test_safe.shape[0]
         assert r.metrics.tp + r.metrics.fn == n_pos

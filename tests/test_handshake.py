@@ -162,21 +162,22 @@ def test_device_pool_reads_rows_cyclically(protocol_lab, bundle, monkeypatch,
     initiator, _ = protocol_lab
     clock, keystore = initiator.ctx.clock, initiator.keystore
     steps = (np.arange(n_steps) * 7 + 3)[::-1]
-    refills = []
+    samples = []
 
     def counting(*args):
-        refills.append(len(args[2]))
+        samples.append(list(args[2]))
         return trace.sample_traces(*args)
 
     monkeypatch.setattr(hs, "sample_traces", counting)
     dev = hs.Device(INITIATOR_ID, bundle.profile, 99, bundle.qmodel,
                     bundle.calibration.t_opt, keystore, clock,
                     sc.RandomSource(0), time_steps=steps)
-    n_reads = 2 * hs.Device.POOL_ROWS + 100   # two refills after the first
+    assert samples == [list(steps)]   # every step, sampled at construction
+    n_reads = 2 * n_steps + 3
     rows = np.stack([dev._sram_view() for _ in range(n_reads)])
     want = trace.sample_traces(bundle.profile, 99, steps).data
     assert np.array_equal(rows, want[np.arange(n_reads) % n_steps])
-    assert refills == [hs.Device.POOL_ROWS] * 3
+    assert len(samples) == 1   # reads never sample again
 
 
 def test_device_rejects_empty_time_steps(protocol_lab, bundle, tiny_cfg):

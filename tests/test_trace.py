@@ -287,19 +287,12 @@ def test_random_walk_matches_clip_loop_oracle(width, near):
 
 @pytest.mark.parametrize("k", [0, 1, 7, 4095, 4096])
 def test_walk_step_draw_prefix_property(k):
-    # a longer draw starts with the shorter one, so one memoized path
-    # serves every requested length up to its own
+    # a longer draw starts with the shorter one, so a walk path only as
+    # long as the largest requested step has the values of any longer one
     def draw(n):
         return rng(3, "walk", 5).choice(np.array([-1, 1], dtype=np.int64),
                                         size=(n, 2))
     assert np.array_equal(draw(8192)[:k], draw(k))
-
-
-def test_walk_path_is_read_only():
-    path = trace._walk_path(3, 5, 2, 4096)
-    assert path.shape == (4097, 2) and path.dtype == np.uint8
-    with pytest.raises(ValueError):
-        path[0, 0] = 0
 
 
 def _accumulate_walk(base, steps):
@@ -344,7 +337,7 @@ def test_clamped_walk_kernel_property(base, runs, noise):
                           _accumulate_walk(base, steps))
 
 
-def test_sample_traces_independent_of_batching_and_memo():
+def test_sample_traces_independent_of_batching():
     prof = _profile()
     assert any(v.kind == "random_walk" for v in prof.variables)
     mutant = trace.mutate_profile(prof, "tamper_function", 1.0, 4)
@@ -353,15 +346,11 @@ def test_sample_traces_independent_of_batching_and_memo():
         return trace.sample_traces(p, 9, steps).data.tobytes()
 
     for p in (prof, mutant):
-        trace._walk_path.cache_clear()
-        cold = sample(p, range(6000))
-        assert trace._walk_path.cache_info().currsize > 0
-        assert sample(p, range(6000)) == cold
-        # the second batch crosses the shortest path length (4096 steps)
+        whole = sample(p, range(6000))
+        assert sample(p, range(6000)) == whole
+        # the two batches draw walk paths of different lengths
         split = sample(p, range(3000)) + sample(p, range(3000, 6000))
-        assert split == cold
-        trace._walk_path.cache_clear()
-        assert sample(p, range(3000)) + sample(p, range(3000, 6000)) == cold
+        assert split == whole
 
 
 def test_negative_time_step_rejected():
@@ -693,6 +682,19 @@ def test_import_traces_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("device,firmware_id,time_step,label,b0\nd,f,0,safe,1\n")
     with pytest.raises(ValueError, match="line 1"):
+        trace.import_traces(path)
+
+
+def test_import_traces_names_line_of_overlong_field(tmp_path):
+    # csv.reader refuses a field over csv.field_size_limit()
+    huge = '"%s"' % ("x" * (csv.field_size_limit() + 1))
+    path = tmp_path / "bad.csv"
+    path.write_text("# a=1\ndevice_id,firmware_id,time_step,label,b0\n"
+                    "d,f,0,safe,1\n%s,f,1,safe,2\n" % huge)
+    with pytest.raises(ValueError, match="^line 4: field larger"):
+        trace.import_traces(path)
+    path.write_text("# a=1\n%s,firmware_id\n" % huge)
+    with pytest.raises(ValueError, match="^line 2: field larger"):
         trace.import_traces(path)
 
 
