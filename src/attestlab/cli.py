@@ -63,6 +63,10 @@ def _base_meta(cfg: ExperimentConfig) -> dict:
     return {"config": config_digest(cfg), "seed": cfg.seed}
 
 
+def _dataset_seed(cfg: ExperimentConfig) -> int:
+    return derive_seed(cfg.seed, "cli-dataset")
+
+
 def _dataset_from_csv(path, cfg: ExperimentConfig) -> trace.Dataset:
     batch = trace.import_traces(path)
     safe = batch.labels == "safe"
@@ -70,10 +74,9 @@ def _dataset_from_csv(path, cfg: ExperimentConfig) -> trace.Dataset:
         raise ValueError("trace file %s has no safe traces" % path)
     features = trace.aggregate_many(batch.data, cfg.agg_width,
                                     cfg.data_section_len)
-    return trace.build_dataset(
-        features[safe], features[~safe],
-        ratios=cfg.ratios, n_f=cfg.noise_factor,
-        seed=derive_seed(cfg.seed, "cli-dataset"))
+    return trace.build_dataset(features[safe], features[~safe],
+                               ratios=cfg.ratios,
+                               seed=_dataset_seed(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +126,9 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
     tc = autoenc.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
                              learning_rate=cfg.learning_rate,
                              seed=derive_seed(cfg.seed, "train"))
-    autoenc.train(model, ds.train_noisy, ds.train, tc)
+    noisy = trace.inject_noise(ds.train, cfg.noise_factor,
+                               derive_seed(_dataset_seed(cfg), "noise"))
+    autoenc.train(model, noisy, ds.train, tc)
     meta = dict(_base_meta(cfg), arch=cfg.arch,
                 final_train_mse=repr(model.train_meta.final_train_mse))
     path = Path(args.model_out) if args.model_out else out / "model.alm"
@@ -325,8 +330,7 @@ def cmd_handshake(args, cfg: ExperimentConfig) -> int:
 
 def cmd_eval(args, cfg: ExperimentConfig) -> int:
     out = _outdir(args, "eval")
-    bundles = [evalkit.prepare_firmware(cfg, i)
-               for i in range(cfg.firmware_count)]
+    bundles = evalkit.prepare_all(cfg)
     res = evalkit.run_experiment(cfg, bundles)
     report = evalkit.format_experiment_report(res)
     path = out / "report.txt"

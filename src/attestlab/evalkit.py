@@ -7,6 +7,7 @@ threshold. Rates come in complementary pairs (tpr+fnr=1, tnr+fpr=1).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,11 +184,9 @@ def prepare_firmware(cfg: ExperimentConfig, fw_index: int,
                                replace=False)
         unsafe.append(_features(cfg, mp, m_dev, np.sort(m_steps)))
 
-    ds = trace.build_dataset(
-        safe, np.concatenate(unsafe),
-        ratios=cfg.ratios,
-        n_f=cfg.noise_factor,
-        seed=derive_seed(fw_seed, "dataset"))
+    ds_seed = derive_seed(fw_seed, "dataset")
+    ds = trace.build_dataset(safe, np.concatenate(unsafe),
+                             ratios=cfg.ratios, seed=ds_seed)
 
     model = autoenc.init_model(cfg.arch, cfg.feature_dim,
                                seed=derive_seed(fw_seed, "init"),
@@ -195,11 +194,77 @@ def prepare_firmware(cfg: ExperimentConfig, fw_index: int,
     tc = autoenc.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
                              learning_rate=cfg.learning_rate,
                              seed=derive_seed(fw_seed, "train"))
-    autoenc.train(model, ds.train_noisy, ds.train, tc)
+    noisy = trace.inject_noise(ds.train, cfg.noise_factor,
+                               derive_seed(ds_seed, "noise"))
+    autoenc.train(model, noisy, ds.train, tc)
     qmodel = quantize.quantize_model(model, ds.train)
     calib = threshold.calibrate(q_errors(qmodel, ds.val))
     return FirmwareBundle(fw_seed, profile, mutants, ds, model, qmodel,
                           calib, step_perm, cfg.safe_traces)
+
+
+def _prepare_share(cfg: ExperimentConfig, indices, conn) -> None:
+    """Worker body: send (True, bundle) per index, or (False, exception)."""
+    try:
+        for i in indices:
+            conn.send((True, prepare_firmware(cfg, i)))
+    except Exception as exc:
+        conn.send((False, exc))
+    finally:
+        conn.close()
+
+
+def prepare_all(cfg: ExperimentConfig) -> list[FirmwareBundle]:
+    """Every firmware pipeline, built in up to one process per CPU.
+
+    Each pipeline has its own seed, so the bundles equal those of
+    `prepare_firmware(cfg, i)` for i in order, whatever the number of
+    workers. With k workers, worker w builds indices w, w + k, ... and
+    sends each bundle over its own pipe; this thread receives them in
+    index order. A worker's exception is raised here, with its type and
+    message, after every worker is stopped.
+    """
+    # imported here: the module costs tens of ms, and only eval needs it
+    import multiprocessing
+
+    n = cfg.firmware_count
+    k = min(n, len(os.sched_getaffinity(0)))
+    # fork: a worker inherits the imported program instead of importing it
+    # again; the program runs no threads but OpenBLAS's, which stop at fork
+    ctx = multiprocessing.get_context("fork")
+    pipes, workers = [], []
+    try:
+        for w in range(k):
+            recv_end, send_end = ctx.Pipe(duplex=False)
+            pipes.append(recv_end)
+            with send_end:
+                p = ctx.Process(target=_prepare_share, daemon=True,
+                                args=(cfg, range(w, n, k), send_end))
+                p.start()
+            workers.append(p)
+        bundles = []
+        for i in range(n):
+            try:
+                ok, value = pipes[i % k].recv()
+            except EOFError:
+                p = workers[i % k]
+                p.join()
+                raise RuntimeError("firmware %d: its worker exited with code "
+                                   "%s" % (i, p.exitcode)) from None
+            if not ok:
+                raise value
+            bundles.append(value)
+    except BaseException:
+        # a worker blocked on a full pipe would never finish on its own
+        for p in workers:
+            p.terminate()
+        raise
+    finally:
+        for p in workers:
+            p.join()
+        for c in pipes:
+            c.close()
+    return bundles
 
 
 @dataclass

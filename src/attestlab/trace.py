@@ -104,7 +104,6 @@ class TraceBatch:
 @dataclass
 class Dataset:
     train: np.ndarray
-    train_noisy: np.ndarray
     val: np.ndarray
     test_safe: np.ndarray
     test_unsafe: np.ndarray
@@ -401,7 +400,7 @@ def inject_noise(x: np.ndarray, n_f: float, seed: int) -> np.ndarray:
 
 def build_dataset(safe: np.ndarray, unsafe: np.ndarray | None = None, *,
                   ratios: tuple[float, float, float] = (0.5, 0.25, 0.25),
-                  n_f: float = 0.05, seed: int = 0) -> Dataset:
+                  seed: int = 0) -> Dataset:
     """Shuffle and split safe feature rows; all unsafe rows go to test.
 
     Split sizes are floor(r * n) for train and val, remainder to test.
@@ -424,9 +423,8 @@ def build_dataset(safe: np.ndarray, unsafe: np.ndarray | None = None, *,
     train = safe[:n_train]
     val = safe[n_train:n_train + n_val]
     test_safe = safe[n_train + n_val:]
-    train_noisy = inject_noise(train, n_f, derive_seed(seed, "noise"))
-    return Dataset(train=train, train_noisy=train_noisy, val=val,
-                   test_safe=test_safe, test_unsafe=unsafe)
+    return Dataset(train=train, val=val, test_safe=test_safe,
+                   test_unsafe=unsafe)
 
 
 # ---------------------------------------------------------------------------

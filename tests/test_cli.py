@@ -134,10 +134,10 @@ def test_dataset_from_csv_reads_mixed_labels_in_file_order(pipeline,
                                     cfg.data_section_len)
 
     want = trace.build_dataset(features(safe), features(unsafe),
-                               ratios=cfg.ratios, n_f=cfg.noise_factor,
+                               ratios=cfg.ratios,
                                seed=derive_seed(cfg.seed, "cli-dataset"))
     assert len(got.test_unsafe) == len(unsafe)
-    for name in ("train", "train_noisy", "val", "test_safe", "test_unsafe"):
+    for name in ("train", "val", "test_safe", "test_unsafe"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 

@@ -1,9 +1,14 @@
 """Tests for detection metrics and the evaluation campaigns."""
 
+import dataclasses
+import multiprocessing
+import os
+import signal
+
 import numpy as np
 import pytest
 
-from attestlab import autoenc, evalkit, quantize, trace
+from attestlab import autoenc, cli, evalkit, model_io, quantize, trace
 from attestlab.config import config_digest
 from attestlab.seeds import derive_seed
 
@@ -344,6 +349,103 @@ def test_experiment_report_is_deterministic(tiny_cfg, two_bundles):
     b = evalkit.format_experiment_report(
         evalkit.run_experiment(tiny_cfg, two_bundles))
     assert a == b
+
+
+# -------------------------------------------------------------- prepare_all
+
+
+def _bundle_bytes(b):
+    """Everything a bundle holds, as bytes or plain values."""
+    ds = b.dataset
+    return (b.firmware_seed, b.corpus_size, b.step_perm.tobytes(),
+            trace.profile_to_dict(b.profile),
+            [trace.profile_to_dict(m) for m in b.mutants],
+            [getattr(ds, f.name).tobytes() for f in dataclasses.fields(ds)],
+            b.calibration, model_io.float_payload(b.model),
+            model_io.quant_payload(b.qmodel), b.model.train_meta)
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture()
+def time_limit():
+    """Fail instead of hanging if a worker is never stopped."""
+    def expire(signum, frame):
+        raise TimeoutError("prepare_all did not return in time")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_prepare_all_equals_serial_bundles(monkeypatch, tiny_cfg,
+                                           two_bundles, cpus):
+    _cpus(monkeypatch, cpus)
+    got = evalkit.prepare_all(tiny_cfg)
+    assert len(got) == len(two_bundles)
+    for a, b in zip(got, two_bundles):
+        assert _bundle_bytes(a) == _bundle_bytes(b)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8, None])
+def test_prepare_all_strides_over_at_most_one_worker_per_cpu(
+        monkeypatch, cpus):
+    cfg = tiny_config(firmware_count=5)
+    if cpus is not None:
+        _cpus(monkeypatch, cpus)
+    mask = len(os.sched_getaffinity(0))
+    monkeypatch.setattr(evalkit, "prepare_firmware",
+                        lambda cfg, i: (i, os.getpid()))
+    got = evalkit.prepare_all(cfg)
+    assert [i for i, _ in got] == list(range(5))
+    pids = [pid for _, pid in got]
+    k = len(set(pids))
+    assert k == min(5, mask)
+    assert os.getpid() not in pids
+    # worker w builds indices w, w + k, ...
+    assert all(pids[i] == pids[i % k] for i in range(5))
+
+
+def _fail_first(cfg, i):
+    if i == 0:
+        raise ValueError("firmware 0 cannot be built")
+    # more than a pipe buffer, so this worker blocks in send until stopped
+    return np.zeros(1 << 20)
+
+
+def test_prepare_all_reraises_a_worker_error_and_stops_the_rest(
+        monkeypatch, tiny_cfg, time_limit):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(evalkit, "prepare_firmware", _fail_first)
+    with pytest.raises(ValueError, match="^firmware 0 cannot be built$"):
+        evalkit.prepare_all(tiny_cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_prepare_all_reports_a_worker_that_dies(monkeypatch, tiny_cfg,
+                                                time_limit):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(evalkit, "prepare_firmware",
+                        lambda cfg, i: os._exit(1) if i == 1 else i)
+    with pytest.raises(RuntimeError,
+                       match="^firmware 1: its worker exited with code 1$"):
+        evalkit.prepare_all(tiny_cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_eval_exits_3_on_a_worker_error(monkeypatch, tmp_path, capsys,
+                                        time_limit):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(evalkit, "prepare_firmware", _fail_first)
+    assert cli.main(["eval", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "error: firmware 0 cannot be built\n"
+    assert multiprocessing.active_children() == []
 
 
 # ------------------------------------------------------------ twin_transfer

@@ -1,6 +1,7 @@
 """Trace generator: layouts, mutations, sampling, aggregation, datasets, CSV."""
 
 import csv
+import hashlib
 import itertools
 import math
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attestlab import cli, trace
-from attestlab.seeds import rng
+from attestlab.seeds import derive_seed, rng
 from attestlab.trace import LayoutSpec
 from test_golden import CFG_TEXT
 
@@ -537,8 +538,18 @@ def test_build_dataset_split_sizes():
     assert ds.val.shape[0] == 25
     assert ds.test_safe.shape[0] == 25
     assert ds.test_unsafe.shape == (0, ds.train.shape[1])
-    assert ds.train_noisy.shape == ds.train.shape
-    assert np.all(ds.train_noisy >= ds.train)
+
+
+def test_training_input_is_noise_on_the_train_split():
+    # the noisy matrix prepare_firmware and `train` fit, as build_dataset
+    # drew it when it still returned one: sha256 of the same call's bytes
+    safe = _features(_profile(), 1, range(100))
+    ds = trace.build_dataset(safe, seed=4)
+    noisy = trace.inject_noise(ds.train, 0.05, derive_seed(4, "noise"))
+    assert noisy.shape == ds.train.shape
+    assert np.all(noisy >= ds.train)
+    assert hashlib.sha256(noisy.tobytes()).hexdigest() == (
+        "4a670d081a1abf963f55b2e968b2c5f4e4ed358051a6413dceb5ede714e7135e")
 
 
 def test_build_dataset_rows_are_disjoint_and_deterministic():
