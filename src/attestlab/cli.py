@@ -1,9 +1,10 @@
 """Command line front end for the attestation laboratory.
 
-Subcommands mirror the pipeline: gen (trace corpora), train (float
+Subcommands mirror the pipeline: gen (training corpora), train (float
 autoencoder), quantize (int8 conversion), calibrate (decision threshold),
 attest (state machine, one device), handshake (adversarial protocol
-sessions), eval (detection campaigns).
+sessions), eval (detection campaigns). gen, train, quantize and calibrate
+run evalkit's stages, so their container is the detector eval scores.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime failure.
 All artifacts embed the resolved config digest and master seed, and rerunning
@@ -19,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import autoenc, evalkit, handshake, model_io, quantize, threshold, trace
+from . import evalkit, handshake, model_io, quantize, trace
 from . import secure_channel as sc
 from .attestor import AttestationContext, run_attestation, self_attest
 from .config import ExperimentConfig, build_config, config_digest, load_config
@@ -63,72 +64,54 @@ def _base_meta(cfg: ExperimentConfig) -> dict:
     return {"config": config_digest(cfg), "seed": cfg.seed}
 
 
-def _dataset_seed(cfg: ExperimentConfig) -> int:
-    return derive_seed(cfg.seed, "cli-dataset")
-
-
-def _dataset_from_csv(path, cfg: ExperimentConfig) -> trace.Dataset:
+def _dataset_from_csv(path, cfg: ExperimentConfig):
+    """(firmware seed, dataset) of a trace CSV that gen wrote: its rows
+    split as prepare_firmware splits that firmware's corpus."""
     batch = trace.import_traces(path)
-    safe = batch.labels == "safe"
-    if not safe.any():
-        raise ValueError("trace file %s has no safe traces" % path)
-    features = trace.aggregate_many(batch.data, cfg.agg_width,
-                                    cfg.data_section_len)
-    return trace.build_dataset(features[safe], features[~safe],
-                               ratios=cfg.ratios,
-                               seed=_dataset_seed(cfg))
+    meta = trace.read_meta(path)
+    if "firmware_seed" not in meta:
+        raise ValueError("trace file %s has no '# firmware_seed=' line"
+                         % path)
+    fw_seed = int(meta["firmware_seed"])
+    return fw_seed, evalkit.split_corpus(cfg, fw_seed, [batch])
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_gen(args, cfg: ExperimentConfig) -> int:
+    """Export each firmware's training corpus, as prepare_firmware samples
+    it, with the profiles it was sampled from."""
     out = _outdir(args, "gen")
-    layout = evalkit.layout_spec(cfg)
     indices = [args.firmware] if args.firmware is not None \
         else list(range(cfg.firmware_count))
     for i in indices:
         if not 0 <= i < cfg.firmware_count:
             raise ValueError("firmware index %d out of range" % i)
-        fw_seed = derive_seed(cfg.seed, "firmware", i)
-        profile = trace.generate_profile(fw_seed, layout)
+        c = evalkit.sample_corpus(cfg, i)
         fw_dir = out / ("fw%d" % i)
         fw_dir.mkdir(parents=True, exist_ok=True)
-        trace.save_profile(fw_dir / "profile.json", profile)
-
-        device_seed = derive_seed(fw_seed, "device", 0)
-        safe = trace.sample_traces(profile, device_seed,
-                                   range(cfg.safe_traces))
-        meta = dict(_base_meta(cfg), firmware_index=i, firmware_seed=fw_seed,
-                    device_seed=device_seed)
-        trace.export_traces(fw_dir / "safe.csv", safe, meta=meta)
-
-        mutants = evalkit.mutant_profiles(profile, fw_seed, cfg)
-        for m_idx, mp in enumerate(mutants):
-            m_dev = derive_seed(fw_seed, "device", 0, "mutant", m_idx)
+        trace.save_profile(fw_dir / "profile.json", c.profile)
+        meta = dict(_base_meta(cfg), firmware_index=i,
+                    firmware_seed=c.firmware_seed,
+                    device_seed=derive_seed(c.firmware_seed, "device", 0))
+        trace.export_traces(fw_dir / "safe.csv", c.safe, meta=meta)
+        for m_idx, (mp, batch) in enumerate(zip(c.mutants, c.unsafe)):
             name = "%s_%g" % (mp.mutation.kind, mp.mutation.severity)
             trace.save_profile(fw_dir / ("%s_profile.json" % name), mp)
-            m_tr = trace.sample_traces(mp, m_dev,
-                                       range(cfg.traces_per_mutant))
-            m_meta = dict(meta, mutation=name, device_seed=m_dev)
-            trace.export_traces(fw_dir / ("%s.csv" % name), m_tr, meta=m_meta)
+            m_meta = dict(meta, mutation=name, device_seed=derive_seed(
+                c.firmware_seed, "device", 0, "mutant", m_idx))
+            trace.export_traces(fw_dir / ("%s.csv" % name), batch,
+                                meta=m_meta)
         print("gen: firmware %d -> %s (%d safe, %d mutant profiles)"
-              % (i, fw_dir, cfg.safe_traces, len(mutants)))
+              % (i, fw_dir, len(c.safe), len(c.mutants)))
     return 0
 
 
 def cmd_train(args, cfg: ExperimentConfig) -> int:
     out = _outdir(args, "train")
-    ds = _dataset_from_csv(args.traces, cfg)
-    model = autoenc.init_model(cfg.arch, ds.train.shape[1],
-                               seed=derive_seed(cfg.seed, "init"),
-                               dropout_rate=cfg.dropout)
-    tc = autoenc.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                             learning_rate=cfg.learning_rate,
-                             seed=derive_seed(cfg.seed, "train"))
-    noisy = trace.inject_noise(ds.train, cfg.noise_factor,
-                               derive_seed(_dataset_seed(cfg), "noise"))
-    autoenc.train(model, noisy, ds.train, tc)
+    fw_seed, ds = _dataset_from_csv(args.traces, cfg)
+    model = evalkit.train_detector(cfg, fw_seed, ds)
     meta = dict(_base_meta(cfg), arch=cfg.arch,
                 final_train_mse=repr(model.train_meta.final_train_mse))
     path = Path(args.model_out) if args.model_out else out / "model.alm"
@@ -144,8 +127,8 @@ def cmd_quantize(args, cfg: ExperimentConfig) -> int:
     cont = model_io.load_container(args.model)
     if cont.model is None:
         raise ValueError("container %s has no float model" % args.model)
-    ds = _dataset_from_csv(args.traces, cfg)
-    qmodel = quantize.quantize_model(cont.model, ds.train)
+    _, ds = _dataset_from_csv(args.traces, cfg)
+    qmodel = evalkit.quantize_detector(cont.model, ds)
     report = quantize.size_report(cont.model, qmodel)
     meta = dict(cont.meta or {}, **{k: str(v)
                                     for k, v in _base_meta(cfg).items()})
@@ -164,9 +147,8 @@ def cmd_calibrate(args, cfg: ExperimentConfig) -> int:
     cont = model_io.load_container(args.model)
     if cont.qmodel is None:
         raise ValueError("container %s has no quantized model" % args.model)
-    ds = _dataset_from_csv(args.traces, cfg)
-    errs = evalkit.q_errors(cont.qmodel, ds.val)
-    calib = threshold.calibrate(errs)
+    _, ds = _dataset_from_csv(args.traces, cfg)
+    calib = evalkit.calibrate_detector(cont.qmodel, ds)
     meta = dict(cont.meta or {}, **{k: str(v)
                                     for k, v in _base_meta(cfg).items()})
     path = Path(args.model_out) if args.model_out \
@@ -187,16 +169,19 @@ def _attest_context(args, cfg: ExperimentConfig):
     profile = trace.load_profile(args.profile)
     self_id = bytes.fromhex(args.self_id)
     peer_id = bytes.fromhex(args.peer_id)
+    # by default the device that gen sampled, read at its spare steps
+    fw_seed = profile.firmware_seed
     device_seed = args.device_seed if args.device_seed is not None \
-        else derive_seed(cfg.seed, "attest-device")
+        else derive_seed(fw_seed, "device", 0)
+    steps = itertools.count(args.start_step) if args.start_step is not None \
+        else iter(evalkit.step_permutation(cfg, fw_seed)[cfg.safe_traces:])
     inner = sc.RandomSource(derive_seed(cfg.seed, "attest-inner")).bytes(
         sc.KEY_LEN)
     clock = sc.SimulatedClock(start_ms=CLOCK_START_MS)
-    counter = itertools.count(args.start_step)
 
     def sram_view():
         return trace.sample_traces(profile, device_seed,
-                                   [next(counter)]).data[0]
+                                   [next(steps)]).data[0]
 
     ctx = AttestationContext(
         self_id=self_id, qmodel=cont.qmodel, t_opt=cont.calibration.t_opt,
@@ -398,9 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True, help="firmware profile JSON")
     p.add_argument("--self-id", default="0a000001", help="4-byte hex id")
     p.add_argument("--peer-id", default="0a000002", help="4-byte hex id")
-    p.add_argument("--device-seed", type=int, help="SRAM power-up seed")
-    p.add_argument("--start-step", type=int, default=0,
-                   help="first SRAM sampling time step")
+    p.add_argument("--device-seed", type=int,
+                   help="SRAM power-up seed (default: the training device)")
+    p.add_argument("--start-step", type=int,
+                   help="first of consecutive SRAM time steps (default: "
+                   "the spare steps, in turn)")
     p.add_argument("--validate", metavar="HEX",
                    help="validate this encrypted report instead")
     p.add_argument("--no-sender-id", action="store_true",

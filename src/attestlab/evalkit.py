@@ -162,45 +162,103 @@ def q_errors(qmodel: quantize.QuantizedModel, features: np.ndarray):
     return autoenc.reconstruction_error(features, recon)
 
 
-def prepare_firmware(cfg: ExperimentConfig, fw_index: int,
-                     with_mutants: bool = True) -> FirmwareBundle:
-    """Generate, train, quantize, and calibrate one firmware pipeline."""
+# The pipeline's stages. prepare_firmware composes them, and the CLI's
+# gen, train, quantize and calibrate each run one, so both build one
+# detector from one corpus.
+
+@dataclass
+class Corpus:
+    """Device 0's traces of one firmware image: the safe batch at the
+    sorted training steps, and one batch per mutant at its own draw from
+    those steps."""
+    firmware_seed: int
+    profile: trace.FirmwareProfile
+    mutants: list
+    step_perm: np.ndarray
+    safe: trace.TraceBatch
+    unsafe: list
+
+
+def step_permutation(cfg: ExperimentConfig, fw_seed: int) -> np.ndarray:
+    """Seeded order of the step horizon: the first safe_traces steps are
+    the training corpus, the rest are spare."""
+    horizon = cfg.horizon_factor * cfg.safe_traces
+    return np.random.default_rng(derive_seed(fw_seed, "steps")).permutation(
+        horizon)
+
+
+def sample_corpus(cfg: ExperimentConfig, fw_index: int,
+                  with_mutants: bool = True) -> Corpus:
+    """The corpus prepare_firmware trains firmware fw_index on."""
     fw_seed = derive_seed(cfg.seed, "firmware", fw_index)
     profile = trace.generate_profile(fw_seed, layout_spec(cfg))
     mutants = mutant_profiles(profile, fw_seed, cfg) if with_mutants else []
-
-    device_seed = derive_seed(fw_seed, "device", 0)
-    horizon = cfg.horizon_factor * cfg.safe_traces
-    perm_rng = np.random.default_rng(derive_seed(fw_seed, "steps"))
-    step_perm = perm_rng.permutation(horizon)
+    step_perm = step_permutation(cfg, fw_seed)
     steps = np.sort(step_perm[:cfg.safe_traces])
-    safe = _features(cfg, profile, device_seed, steps)
-    unsafe = [np.zeros((0, cfg.feature_dim))]
+    safe = trace.sample_traces(profile, derive_seed(fw_seed, "device", 0),
+                               steps)
+    unsafe = []
     for m_idx, mp in enumerate(mutants):
         m_dev = derive_seed(fw_seed, "device", 0, "mutant", m_idx)
         m_rng = np.random.default_rng(derive_seed(fw_seed, "mutant-steps",
                                                   m_idx))
         m_steps = m_rng.choice(steps, size=cfg.traces_per_mutant,
                                replace=False)
-        unsafe.append(_features(cfg, mp, m_dev, np.sort(m_steps)))
+        unsafe.append(trace.sample_traces(mp, m_dev, np.sort(m_steps)))
+    return Corpus(fw_seed, profile, mutants, step_perm, safe, unsafe)
 
-    ds_seed = derive_seed(fw_seed, "dataset")
-    ds = trace.build_dataset(safe, np.concatenate(unsafe),
-                             ratios=cfg.ratios, seed=ds_seed)
 
+def split_corpus(cfg: ExperimentConfig, fw_seed: int,
+                 batches: list[trace.TraceBatch]) -> trace.Dataset:
+    """Features of the batches' rows, in order: the safe ones split under
+    the firmware's dataset seed, the unsafe ones all in test_unsafe."""
+    features = np.concatenate([
+        trace.aggregate_many(b.data, cfg.agg_width, cfg.data_section_len)
+        for b in batches])
+    safe = np.concatenate([b.labels for b in batches]) == "safe"
+    return trace.build_dataset(features[safe], features[~safe],
+                               ratios=cfg.ratios,
+                               seed=derive_seed(fw_seed, "dataset"))
+
+
+def train_detector(cfg: ExperimentConfig, fw_seed: int,
+                   ds: trace.Dataset) -> autoenc.AutoencoderModel:
+    """Firmware-seeded init, then training on noisy copies of ds.train."""
     model = autoenc.init_model(cfg.arch, cfg.feature_dim,
                                seed=derive_seed(fw_seed, "init"),
                                dropout_rate=cfg.dropout)
     tc = autoenc.TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
                              learning_rate=cfg.learning_rate,
                              seed=derive_seed(fw_seed, "train"))
-    noisy = trace.inject_noise(ds.train, cfg.noise_factor,
-                               derive_seed(ds_seed, "noise"))
+    noisy = trace.inject_noise(
+        ds.train, cfg.noise_factor,
+        derive_seed(derive_seed(fw_seed, "dataset"), "noise"))
     autoenc.train(model, noisy, ds.train, tc)
-    qmodel = quantize.quantize_model(model, ds.train)
-    calib = threshold.calibrate(q_errors(qmodel, ds.val))
-    return FirmwareBundle(fw_seed, profile, mutants, ds, model, qmodel,
-                          calib, step_perm, cfg.safe_traces)
+    return model
+
+
+def quantize_detector(model: autoenc.AutoencoderModel,
+                      ds: trace.Dataset) -> quantize.QuantizedModel:
+    """The int8 model, its activation ranges taken on ds.train."""
+    return quantize.quantize_model(model, ds.train)
+
+
+def calibrate_detector(qmodel: quantize.QuantizedModel,
+                       ds: trace.Dataset) -> threshold.CalibrationResult:
+    """The threshold, from the int8 model's errors on ds.val."""
+    return threshold.calibrate(q_errors(qmodel, ds.val))
+
+
+def prepare_firmware(cfg: ExperimentConfig, fw_index: int,
+                     with_mutants: bool = True) -> FirmwareBundle:
+    """Generate, train, quantize, and calibrate one firmware pipeline."""
+    c = sample_corpus(cfg, fw_index, with_mutants)
+    ds = split_corpus(cfg, c.firmware_seed, [c.safe, *c.unsafe])
+    model = train_detector(cfg, c.firmware_seed, ds)
+    qmodel = quantize_detector(model, ds)
+    return FirmwareBundle(c.firmware_seed, c.profile, c.mutants, ds, model,
+                          qmodel, calibrate_detector(qmodel, ds),
+                          c.step_perm, cfg.safe_traces)
 
 
 def _prepare_share(cfg: ExperimentConfig, indices, conn) -> None:

@@ -6,7 +6,11 @@ Layout (all little-endian):
     section := u8 tag | u64 payload_len | payload
 
 Section tags: 1 = float model, 2 = quantized model, 3 = calibration record
-(UTF-8 key=value lines), 4 = run metadata (UTF-8 key=value lines).
+(UTF-8 key=value lines), 4 = run metadata (UTF-8 key=value lines), 5 = the
+float model's parameters at full precision (f8, in layer record order).
+Section 5 follows section 1 in a container without a quantized model, so
+that quantizing the reloaded model gives the bytes that quantizing the
+trained one does.
 
 Float payload: arch, input_dim, dropout, optional training metadata, u16
 layer count, layer records. Quantized payload: arch, input_dim, sha256 of
@@ -47,6 +51,7 @@ SEC_FLOAT = 1
 SEC_QUANT = 2
 SEC_CALIBRATION = 3
 SEC_META = 4
+SEC_FLOAT64 = 5
 
 _ARCH_CODE = {"M1": 1, "M2": 2, "M3": 3}
 _ARCH_NAME = {v: k for k, v in _ARCH_CODE.items()}
@@ -236,6 +241,24 @@ class Container:
     meta: dict | None = None
 
 
+def _params(model: AutoencoderModel) -> list:
+    return [p for layer in model.layers for p in layer.params().values()]
+
+
+def _restore_float64(model: AutoencoderModel, payload: bytes) -> None:
+    """Set a parsed float model's f32-cast parameters to their f8 values,
+    which must cast to them."""
+    params = _params(model)
+    values = np.frombuffer(payload, dtype="<f8")
+    if not np.array_equal(values.astype(np.float32),
+                          np.concatenate([p.ravel() for p in params])):
+        raise ContainerError("full-precision parameters do not match the "
+                             "float model")
+    for p, v in zip(params, np.split(values, np.cumsum(
+            [p.size for p in params])[:-1])):
+        p[...] = v.reshape(p.shape)
+
+
 def container_bytes(model: AutoencoderModel | None = None,
                     qmodel: QuantizedModel | None = None,
                     calibration: CalibrationResult | None = None,
@@ -243,6 +266,10 @@ def container_bytes(model: AutoencoderModel | None = None,
     sections = []
     if model is not None:
         sections.append((SEC_FLOAT, float_payload(model)))
+    if model is not None and qmodel is None:
+        sections.append((SEC_FLOAT64, b"".join(
+            np.ascontiguousarray(p, dtype="<f8").tobytes()
+            for p in _params(model))))
     if qmodel is not None:
         sections.append((SEC_QUANT, quant_payload(qmodel)))
     if calibration is not None:
@@ -275,6 +302,8 @@ def parse_container(buf: bytes) -> Container:
         if tag == SEC_FLOAT:
             c.model = parse_float_payload(payload)
             float_digest = hashlib.sha256(payload).digest()
+        elif tag == SEC_FLOAT64 and c.model is not None:
+            _restore_float64(c.model, payload)
         elif tag == SEC_QUANT:
             c.qmodel = parse_quant_payload(payload)
         elif tag == SEC_CALIBRATION:
@@ -282,7 +311,7 @@ def parse_container(buf: bytes) -> Container:
         elif tag == SEC_META:
             c.meta = _parse_kv_text(payload)
         else:
-            raise ContainerError("unknown section tag %d" % tag)
+            raise ContainerError("unknown or misplaced section tag %d" % tag)
     if c.qmodel is not None and float_digest is not None \
             and c.qmodel.source_digest != float_digest:
         raise ContainerError("quantized model was not made from the float "

@@ -11,6 +11,7 @@ so the downstream detector sees values in [0, 1].
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -480,6 +481,14 @@ def export_traces(path, batch: TraceBatch, meta: dict | None = None):
             cells = _BYTE_CELLS[batch.data[i:i + block]].tolist()
             f.write("".join(h[:-2] + "".join(c) + "\r\n"
                             for h, c in zip(heads[i:i + block], cells)))
+
+
+def read_meta(path) -> dict:
+    """The '# key=value' lines at the head of a trace CSV, as strings."""
+    with open(path, encoding="utf-8", newline="") as f:
+        pairs = (line[1:].partition("=") for line in
+                 itertools.takewhile(lambda line: line.startswith("#"), f))
+        return {k.strip(): v.strip() for k, _, v in pairs}
 
 
 def _canonical_block(lines: list, width: int):

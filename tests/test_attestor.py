@@ -203,6 +203,21 @@ def test_validate_report_garbage_blobs():
     assert kind is OutcomeKind.ABORT_INCONSISTENT_ID
 
 
+@pytest.mark.parametrize("length", [attestor.REPORT_PLAIN_LEN - 1,
+                                    attestor.REPORT_PLAIN_LEN + 1])
+def test_validate_report_rejects_off_length_plaintext(length):
+    # a valid id, verdict and timestamp, sealed under the right key, in a
+    # plaintext one byte short of or past the report layout
+    _, b, clock = _peer_pair()
+    head = ID_A + bytes([attestor.SAFE]) + clock.now().to_bytes(8, "big")
+    plain = head + bytes(length - len(head))
+    blob = sc.enc(plain, KEY, sc.RandomSource(5))
+    out = run_attestation(b, sender_id=ID_A, sender_report=blob,
+                          self_attest_requested=True)
+    assert out.kind is OutcomeKind.ABORT_INCONSISTENT_ID
+    assert b.counters == {"inference": 0, "report_encrypt": 0}
+
+
 def test_validate_report_tampered_ciphertext():
     # CBC malleability boundary: an IV flip lands byte-for-byte in the first
     # plaintext block, so the report layer alone only catches flips over the

@@ -122,12 +122,14 @@ def test_dataset_from_csv_reads_mixed_labels_in_file_order(pipeline,
         c: np.concatenate([getattr(safe, c), getattr(unsafe, c)])[order]
         for c in ("data", "time_steps", "device_ids", "firmware_ids",
                   "labels")})
+    fw_seed = derive_seed(cfg.seed, "firmware", 0)
     path = tmp_path / "mixed.csv"
-    trace.export_traces(path, mixed)
+    trace.export_traces(path, mixed, meta={"firmware_seed": fw_seed})
     assert trace.import_traces(path).labels[:6].tolist() == \
         ["safe", "safe", "unsafe", "safe", "safe", "unsafe"]
 
-    got = cli._dataset_from_csv(str(path), cfg)
+    got_seed, got = cli._dataset_from_csv(str(path), cfg)
+    assert got_seed == fw_seed
 
     def features(batch):
         return trace.aggregate_many(batch.data, cfg.agg_width,
@@ -135,7 +137,7 @@ def test_dataset_from_csv_reads_mixed_labels_in_file_order(pipeline,
 
     want = trace.build_dataset(features(safe), features(unsafe),
                                ratios=cfg.ratios,
-                               seed=derive_seed(cfg.seed, "cli-dataset"))
+                               seed=derive_seed(fw_seed, "dataset"))
     assert len(got.test_unsafe) == len(unsafe)
     for name in ("train", "val", "test_safe", "test_unsafe"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
@@ -169,6 +171,52 @@ def test_calibrate_adds_threshold(pipeline):
     assert cont.calibration.tnr_target in (0.95, 0.97, 0.99)
 
 
+@pytest.fixture(scope="module")
+def bundles(pipeline):
+    return [evalkit.prepare_firmware(pipeline["cfg"], i) for i in (0, 1)]
+
+
+@pytest.mark.parametrize("fw", [0, 1])
+def test_chain_builds_the_detector_eval_scores(pipeline, bundles, fw,
+                                               tmp_path):
+    common = ["--config", str(pipeline["cfg_path"]), "--out", str(tmp_path)]
+    csv = str(tmp_path / "gen" / ("fw%d" % fw) / "safe.csv")
+    for argv in (["gen", *common, "--firmware", str(fw)],
+                 ["train", *common, "--traces", csv],
+                 ["quantize", *common, "--traces", csv,
+                  "--model", str(tmp_path / "train" / "model.alm")],
+                 ["calibrate", *common, "--traces", csv,
+                  "--model", str(tmp_path / "quantize" / "model-quant.alm")]):
+        assert cli.main(argv) == 0, argv
+    cont = model_io.load_container(
+        str(tmp_path / "calibrate" / "model-calibrated.alm"))
+    b = bundles[fw]
+    assert model_io.float_payload(cont.model) == \
+        model_io.float_payload(b.model)
+    assert model_io.quant_payload(cont.qmodel) == \
+        model_io.quant_payload(b.qmodel)
+    assert model_io.calibration_payload(cont.calibration) == \
+        model_io.calibration_payload(b.calibration)
+
+
+def test_handshake_retrains_the_chains_detector(pipeline):
+    # handshake builds firmware 0 without mutants; the split ignores them
+    b = evalkit.prepare_firmware(pipeline["cfg"], 0, with_mutants=False)
+    cont = model_io.load_container(str(pipeline["calib"]))
+    assert model_io.quant_payload(cont.qmodel) == \
+        model_io.quant_payload(b.qmodel)
+    assert cont.calibration == b.calibration
+
+
+def test_train_needs_the_firmware_seed_line(pipeline, tmp_path, capsys):
+    bare = tmp_path / "bare.csv"
+    trace.export_traces(bare, trace.import_traces(str(pipeline["safe_csv"])),
+                        meta={"seed": 5})
+    code = cli.main(["train", *pipeline["common"], "--traces", str(bare)])
+    assert code == 3
+    assert "firmware_seed" in capsys.readouterr().err
+
+
 def test_quantize_requires_float_model(pipeline, tmp_path, capsys):
     empty = tmp_path / "nofloat.alm"
     model_io.save_container(str(empty), meta={"x": "1"})
@@ -197,6 +245,29 @@ def test_attest_self_flow(pipeline, capsys):
     assert len(bytes.fromhex(report_hex)) == 48
     # The demo self-check and the state machine each run one inference.
     assert lines[2] == "counters inference=2 report_encrypt=1"
+
+
+def test_attest_reads_the_training_device_at_its_spare_steps(
+        pipeline, bundles, monkeypatch):
+    reads = []
+    original = trace.sample_traces
+
+    def recording(profile, device_seed, time_steps):
+        reads.append((device_seed, list(time_steps)))
+        return original(profile, device_seed, time_steps)
+
+    monkeypatch.setattr(trace, "sample_traces", recording)
+    ns = argparse.Namespace(model=str(pipeline["calib"]),
+                            profile=str(pipeline["fw_dir"] / "profile.json"),
+                            self_id="0a000001", peer_id="0a000002",
+                            device_seed=None, start_step=None)
+    ctx, _ = cli._attest_context(ns, pipeline["cfg"])
+    ctx.sram_view()
+    ctx.sram_view()
+    b = bundles[0]
+    device = derive_seed(b.firmware_seed, "device", 0)
+    assert reads[0] == (device, [b.spare_steps(1)[0]])
+    assert reads == [(device, [k]) for k in b.spare_steps(2)]
 
 
 def test_attest_validate_round_trip(pipeline, capsys):

@@ -36,7 +36,7 @@ sessions = 2
 
 ARTIFACT_DIGESTS = {
     "calibrate/model-calibrated.alm":
-        "f0c690c95270d1c6a962133077fdac638acbe6b948596e69442b1cfbb936cdf8",
+        "d7c61ab6d129554903eb093425edc60dc08d8e802a1557753b24ce40b3a033a0",
     "eval/report.txt":
         "e8653490d05a9d140d34053f810be6943d616b9e7b227a4a5b2ecd68253c0c92",
     "eval/twin.txt":
@@ -44,9 +44,9 @@ ARTIFACT_DIGESTS = {
     "gen/fw0/profile.json":
         "384b04ab95ca40f0f8f75fd3aa16e1390b7bbb6043e5541f8f3afae53bb574f3",
     "gen/fw0/safe.csv":
-        "bfd03a5033b3d680065fb0aae4d9fd7b5e6179e5d6073f14e34c8a7661b6c248",
+        "2569314d32cbc56a54415109ff6a52bcebbb180de3190904fb24008ac727a905",
     "gen/fw0/tamper_data_1.csv":
-        "ae33b41d96818cb0718418554dd12127a15f119151e969731e699099275a9108",
+        "bd46655d3fa2fe90faa7013e3d6b12136c627f9a87c751600153b8ef3a9f79a9",
     "gen/fw0/tamper_data_1_profile.json":
         "636865513468a720bd03e8d6cf6835c213ab91bd68b3947a7339833448e9ce70",
     "handshake/drop.jsonl":

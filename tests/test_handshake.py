@@ -140,6 +140,29 @@ def test_out_of_phase_flow_fails_closed(protocol_lab, role, phase, driven,
     assert dev.ctx.counters == before
 
 
+def test_flow_to_the_wrong_role_fails_closed(protocol_lab):
+    # sessions run_session never builds: an initiator in START fed a valid
+    # flow 1, and a responder in SENT1 (holding the initiator's N_1) fed a
+    # valid flow 2. The tags, ids and echo all check out; only the role
+    # says that neither may receive that flow.
+    initiator, responder = protocol_lab
+    i_state, m1 = hs.initiator_start(initiator, responder.id)
+    _, m2 = hs.step(responder, hs.responder_start(responder, initiator.id),
+                    m1)
+    cases = [(responder, hs.SessionState(role="initiator",
+                                         peer_id=initiator.id), m1),
+             (initiator, hs.SessionState(role="responder",
+                                         peer_id=responder.id,
+                                         phase=hs.SENT1,
+                                         nonces=dict(i_state.nonces)), m2)]
+    for dev, state, flow in cases:
+        before = dict(dev.ctx.counters)
+        state, out = hs.step(dev, state, flow)
+        assert (state.phase, state.fail_reason) == (hs.FAILED, hs.BAD_LAYOUT)
+        assert out is None
+        assert dev.ctx.counters == before
+
+
 # ---------------------------------------------------------------------------
 # device sampling
 

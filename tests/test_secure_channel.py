@@ -185,6 +185,17 @@ def test_dec_rejects_malformed_blobs():
         sc.dec(b"\x00" * 40, KEY_A)  # body not block aligned
 
 
+def test_dec_of_a_partial_block_leaves_the_key_usable():
+    # the block decryptor is cached per key and shared by every message:
+    # a 20-byte body must be refused before it reaches the decryptor, where
+    # 4 bytes would stay buffered and shift every later message's blocks
+    key = bytes(range(100, 116))
+    with pytest.raises(sc.DecryptError):
+        sc.dec(b"\x00" * (sc.IV_LEN + 20), key)
+    blob = sc.enc(b"attestation report", key, sc.RandomSource(8))
+    assert sc.dec(blob, key) == b"attestation report"
+
+
 def test_dec_with_wrong_key_never_returns_plaintext():
     rng = sc.RandomSource(3)
     for i in range(200):
