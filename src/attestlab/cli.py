@@ -8,7 +8,9 @@ run evalkit's stages, so their container is the detector eval scores.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime failure.
 All artifacts embed the resolved config digest and master seed, and rerunning
-a subcommand with the same inputs reproduces them byte for byte.
+a subcommand with the same inputs reproduces them byte for byte. train,
+quantize, calibrate and attest exit 3 on an input whose recorded config
+digest differs from their own.
 """
 
 from __future__ import annotations
@@ -64,11 +66,26 @@ def _base_meta(cfg: ExperimentConfig) -> dict:
     return {"config": config_digest(cfg), "seed": cfg.seed}
 
 
+def _check_config(recorded, cfg: ExperimentConfig, source) -> None:
+    """Refuse an input whose recorded config digest is not this run's."""
+    if recorded is not None and recorded != config_digest(cfg):
+        raise ValueError("%s was made under config %s, but this run's config "
+                         "is %s; run every subcommand under one config"
+                         % (source, recorded, config_digest(cfg)))
+
+
+def _load_container(path, cfg: ExperimentConfig) -> model_io.Container:
+    cont = model_io.load_container(path)
+    _check_config((cont.meta or {}).get("config"), cfg, path)
+    return cont
+
+
 def _dataset_from_csv(path, cfg: ExperimentConfig):
     """(firmware seed, dataset) of a trace CSV that gen wrote: its rows
     split as prepare_firmware splits that firmware's corpus."""
     batch = trace.import_traces(path)
     meta = trace.read_meta(path)
+    _check_config(meta.get("config"), cfg, path)
     if "firmware_seed" not in meta:
         raise ValueError("trace file %s has no '# firmware_seed=' line"
                          % path)
@@ -124,7 +141,7 @@ def cmd_train(args, cfg: ExperimentConfig) -> int:
 
 def cmd_quantize(args, cfg: ExperimentConfig) -> int:
     out = _outdir(args, "quantize")
-    cont = model_io.load_container(args.model)
+    cont = _load_container(args.model, cfg)
     if cont.model is None:
         raise ValueError("container %s has no float model" % args.model)
     _, ds = _dataset_from_csv(args.traces, cfg)
@@ -144,7 +161,7 @@ def cmd_quantize(args, cfg: ExperimentConfig) -> int:
 
 def cmd_calibrate(args, cfg: ExperimentConfig) -> int:
     out = _outdir(args, "calibrate")
-    cont = model_io.load_container(args.model)
+    cont = _load_container(args.model, cfg)
     if cont.qmodel is None:
         raise ValueError("container %s has no quantized model" % args.model)
     _, ds = _dataset_from_csv(args.traces, cfg)
@@ -162,7 +179,7 @@ def cmd_calibrate(args, cfg: ExperimentConfig) -> int:
 
 
 def _attest_context(args, cfg: ExperimentConfig):
-    cont = model_io.load_container(args.model)
+    cont = _load_container(args.model, cfg)
     if cont.qmodel is None or cont.calibration is None:
         raise ValueError("attest needs a container with quantized model "
                          "and calibration sections")

@@ -74,7 +74,8 @@ class Device:
 
     The SRAM snapshots at the given time steps are sampled once, when the
     device is built; self-check k reads the one at
-    time_steps[k % len(time_steps)].
+    time_steps[k % len(time_steps)]. Its outer and inner keys are looked
+    up once too, for every peer the key store holds at that time.
     """
 
     def __init__(self, device_id: bytes, profile: FirmwareProfile,
@@ -88,8 +89,9 @@ class Device:
         if not len(self.sram):
             raise ValueError("time_steps must be non-empty")
         self._reads = 0
-        inner = {p: keystore.inner(self.id, p)
-                 for p in keystore.peers(self.id)}
+        peers = keystore.peers(self.id)
+        self._outer = {p: keystore.outer(self.id, p) for p in peers}
+        inner = {p: keystore.inner(self.id, p) for p in peers}
         self.ctx = AttestationContext(
             self_id=self.id, qmodel=qmodel, t_opt=t_opt, inner_keys=inner,
             clock=clock, rng=rng, sram_view=self._sram_view,
@@ -101,7 +103,8 @@ class Device:
         return row
 
     def outer_key(self, peer_id: bytes) -> bytes:
-        return self.keystore.outer(self.id, peer_id)
+        """The pair's outer key, as provisioned; KeyError for a stranger."""
+        return self._outer[bytes(peer_id)]
 
 
 def _fail(state: SessionState, reason: str):

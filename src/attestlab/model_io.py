@@ -94,6 +94,14 @@ class _Reader:
         return np.frombuffer(raw, dtype=dtype).copy()
 
 
+def _act_quant(scale: float, zero_point: int) -> ActivationQuant:
+    # inference divides by activation scales; quantize_model makes them > 0
+    if not 0.0 < scale < float("inf"):
+        raise ContainerError("activation scale %r is not positive and finite"
+                             % scale)
+    return ActivationQuant(scale=_f32(scale), zero_point=int(zero_point))
+
+
 def _name(table: dict, code: int, what: str) -> str:
     if code not in table:
         raise ContainerError("unknown %s code %d" % (what, code))
@@ -134,9 +142,7 @@ def _read_layer(r: _Reader, quant: bool):
         bq = r.array("<i4", n_out)
         b_scale, o_scale, o_zp = r.take("ffb")
         return QLayer(wq=wq, w_scale=w_scale, bq=bq, b_scale=_f32(b_scale),
-                      activation=act,
-                      out_q=ActivationQuant(scale=_f32(o_scale),
-                                            zero_point=int(o_zp)))
+                      activation=act, out_q=_act_quant(o_scale, o_zp))
     w = r.array("<f4", n_w).astype(np.float64).reshape(shape)
     b = r.array("<f4", n_out).astype(np.float64)
     return (Conv1dLayer if kind == "conv" else DenseLayer)(w, b, act)
@@ -188,7 +194,7 @@ def parse_quant_payload(buf: bytes) -> QuantizedModel:
     arch_code, input_dim = r.take("BI")
     digest = r.blob(32)
     in_scale, in_zp = r.take("fb")
-    input_q = ActivationQuant(scale=_f32(in_scale), zero_point=int(in_zp))
+    input_q = _act_quant(in_scale, in_zp)
     layers = [_read_layer(r, quant=True) for _ in range(r.take("H"))]
     return QuantizedModel(arch=_name(_ARCH_NAME, arch_code, "architecture"),
                           input_dim=input_dim,

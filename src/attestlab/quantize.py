@@ -12,6 +12,13 @@ arithmetic: |code| <= 255 and |weight| <= 127, so a K-input layer's partial
 sums stay below 255 * 127 * K + 2**31, under 2**53 for any K below 2.7e11.
 Clipping to int8 becomes clipping to [-128 - zp, 127 - zp], and relu is a
 lower bound of 0 on the centred code.
+
+Each model's inference constants (a layer's float64 weight matrix and
+bias, its requantization multiplier (in_scale * w_scale) / out_scale and
+its clip bounds) are built once, when the QuantizedModel is built, so a
+batch-1 call pays only for its ufuncs. They are not dataclass fields:
+payloads and equality ignore them, and a model's layers are not to be
+changed after it is built.
 """
 
 from __future__ import annotations
@@ -68,6 +75,33 @@ class QuantizedModel:
     input_q: ActivationQuant
     layers: list            # QLayer, or the float pool/flatten layers
     source_digest: bytes  # sha256 of the float model payload
+
+    def __post_init__(self):
+        # q_reconstruct's constants. Per layer: the float layer itself, or
+        # (conv width or 0, float64 (in, out) weights, float64 bias,
+        # requantization multiplier, clip bounds of the centred code)
+        self._input_bounds = _code_bounds(self.input_q, "linear")
+        steps = []
+        cur = self.input_q
+        for layer in self.layers:
+            if not isinstance(layer, QLayer):
+                steps.append(layer)
+                continue
+            steps.append((
+                layer.wq.shape[0] if layer.kind == "conv" else 0,
+                layer.wq.reshape(-1, layer.wq.shape[-1]).astype(np.float64),
+                layer.bq.astype(np.float64),
+                (cur.scale * layer.w_scale) / layer.out_q.scale,
+                *_code_bounds(layer.out_q, layer.activation)))
+            cur = layer.out_q
+        self._steps = steps
+        self._out_scale = cur.scale
+
+
+def _code_bounds(q: ActivationQuant, activation: str) -> tuple:
+    """[lo, hi] of a centred int8 code; relu raises lo to 0."""
+    lo = 0 if activation == "relu" else INT8_MIN - q.zero_point
+    return float(lo), float(INT8_MAX - q.zero_point)
 
 
 def _f32(x: float) -> float:
@@ -132,6 +166,12 @@ def quantize_model(model: AutoencoderModel,
                           source_digest=digest)
 
 
+def _requantize(c: np.ndarray, lo, hi) -> None:
+    """Round half away from zero, then clip to [lo, hi], in place."""
+    _round_half_away_inplace(c)
+    c.clip(lo, hi, out=c)  # np.clip is the same ufunc behind more dispatch
+
+
 def q_reconstruct(qmodel: QuantizedModel, x) -> np.ndarray:
     """Int8 inference, exact in float64; returns dequantized float output."""
     arr = np.asarray(x, dtype=np.float64)
@@ -144,26 +184,22 @@ def q_reconstruct(qmodel: QuantizedModel, x) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("input contains non-finite values")
 
-    cur = qmodel.input_q
-    c = _round_half_away_inplace(arr / cur.scale)
-    np.clip(c, INT8_MIN - cur.zero_point, INT8_MAX - cur.zero_point, out=c)
-    for layer in qmodel.layers:
-        if not isinstance(layer, QLayer):
-            c, _ = layer.forward(c)  # max pool commutes with the centring
+    c = np.divide(arr, qmodel.input_q.scale)
+    _requantize(c, *qmodel._input_bounds)
+    for step in qmodel._steps:
+        if not isinstance(step, tuple):
+            c, _ = step.forward(c)  # max pool commutes with the centring
             continue
-        if layer.kind == "conv":
-            c = im2col(c, layer.wq.shape[0])
-        acc = c @ layer.wq.reshape(-1, layer.wq.shape[-1]).astype(np.float64)
-        acc += layer.bq
-        out_q = layer.out_q
-        acc *= (cur.scale * layer.w_scale) / out_q.scale
-        c = _round_half_away_inplace(acc)
-        lo = 0 if layer.activation == "relu" else INT8_MIN - out_q.zero_point
-        np.clip(c, lo, INT8_MAX - out_q.zero_point, out=c)
-        cur = out_q
+        width, w, b, mult, lo, hi = step
+        if width:
+            c = im2col(c, width)
+        c = np.matmul(c, w)
+        np.add(c, b, out=c)
+        np.multiply(c, mult, out=c)
+        _requantize(c, lo, hi)
 
-    out = c * cur.scale
-    out += 0.0  # -0.0 from the rounding becomes +0.0
+    out = np.multiply(c, qmodel._out_scale)
+    np.add(out, 0.0, out=out)  # -0.0 from the rounding becomes +0.0
     return out[0] if single else out
 
 

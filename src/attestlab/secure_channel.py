@@ -4,15 +4,21 @@ AES-128-CBC with PKCS#7 padding and a fresh random IV per message,
 HMAC-SHA256 message tags, a seedable randomness source so simulations are
 reproducible, and a simulated millisecond clock.
 
-CBC is written out around a keyed AES block cipher (NIST SP 800-38A,
-6.2): C_0 = IV, C_i = E_K(P_i xor C_{i-1}) and P_i = D_K(C_i) xor C_{i-1}.
-AES itself runs in `cryptography`, as one ECB encryptor and one ECB
-decryptor per key, built once and memoized (at most 64 keys). The cached
-contexts only ever see whole 16-byte blocks: enc() pads before its first
-update and dec() checks the length before its one update, and neither ever
-finalizes them. So they carry no state from one message to the next, and
-the bytes equal the library's own CBC mode. The contexts are shared by
-every caller in the process, so enc() and dec() are single-threaded.
+AES runs in `cryptography`, with one CBC encryptor and one ECB decryptor
+per key, built once and memoized (at most 64 keys; an evicted key's
+contexts and chain state go together). CBC (NIST SP 800-38A, 6.2) is
+C_0 = IV, C_i = E_K(P_i xor C_{i-1}) and P_i = D_K(C_i) xor C_{i-1}.
+
+The cached encryptor is never finalized, so it carries its CBC chain from
+one message to the next: its next block is xored with L, the last
+ciphertext block it produced, which is tracked beside it. enc() therefore
+feeds P_1 xor IV xor L, then P_2 ... P_n, in one update: the context
+computes E_K(P_1 xor IV) = C_1 and chains the rest as CBC does, and L
+becomes C_n. The decryptor sees only whole blocks, since dec() checks the
+length before its one update, so it carries no state. The bytes equal the
+library's own CBC mode with a fresh context per message. The contexts and
+L are shared by every caller in the process, so enc() and dec() are
+single-threaded.
 """
 
 from __future__ import annotations
@@ -80,27 +86,28 @@ def _check_key(key: bytes) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _aes_blocks(key: bytes):
-    """(encryptor, decryptor) of AES-128 ECB under key; whole blocks only."""
-    cipher = Cipher(algorithms.AES(key), modes.ECB())
-    return cipher.encryptor(), cipher.decryptor()
+def _aes_blocks(key: bytes) -> list:
+    """[CBC encryptor, its last ciphertext block L as an int, ECB
+    decryptor] of AES-128 under key; whole blocks only, never finalized."""
+    aes = algorithms.AES(key)
+    return [Cipher(aes, modes.CBC(bytes(16))).encryptor(), 0,
+            Cipher(aes, modes.ECB()).decryptor()]
 
 
 def enc(plaintext: bytes, key: bytes, rng: RandomSource) -> bytes:
     """Encrypt with AES-128-CBC/PKCS#7. Returns IV || ciphertext."""
     _check_key(key)
     iv = rng.bytes(IV_LEN)
-    padder = padding.PKCS7(128).padder()
-    padded = padder.update(bytes(plaintext)) + padder.finalize()
-    encrypt = _aes_blocks(bytes(key))[0].update
-    out = [iv]
-    prev = int.from_bytes(iv, "big")
-    for i in range(0, len(padded), 16):
-        block = encrypt((int.from_bytes(padded[i:i + 16], "big")
-                         ^ prev).to_bytes(16, "big"))
-        out.append(block)
-        prev = int.from_bytes(block, "big")
-    return b"".join(out)
+    plaintext = bytes(plaintext)
+    pad = 16 - len(plaintext) % 16
+    padded = plaintext + bytes((pad,)) * pad
+    chain = _aes_blocks(bytes(key))
+    # the context xors its first block with L: cancel L, apply the IV
+    first = (int.from_bytes(padded[:16], "big") ^ int.from_bytes(iv, "big")
+             ^ chain[1]).to_bytes(16, "big")
+    body = chain[0].update(first + padded[16:])
+    chain[1] = int.from_bytes(body[-16:], "big")
+    return iv + body
 
 
 def dec(blob: bytes, key: bytes) -> bytes:
@@ -111,7 +118,7 @@ def dec(blob: bytes, key: bytes) -> bytes:
         raise DecryptError("ciphertext has invalid length")
     body = blob[IV_LEN:]
     # every block at once: D_K(C_i) xor C_{i-1}, with C_0 = IV
-    padded = (int.from_bytes(_aes_blocks(bytes(key))[1].update(body), "big")
+    padded = (int.from_bytes(_aes_blocks(bytes(key))[2].update(body), "big")
               ^ int.from_bytes(blob[:-16], "big")).to_bytes(len(body), "big")
     unpadder = padding.PKCS7(128).unpadder()
     try:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from attestlab import attestor, cli, evalkit, model_io, trace
-from attestlab.config import config_digest, load_config
+from attestlab.config import build_config, config_digest, load_config
 from attestlab.seeds import derive_seed
 
 CFG_TEXT = """\
@@ -224,6 +224,42 @@ def test_quantize_requires_float_model(pipeline, tmp_path, capsys):
                      "--traces", str(pipeline["safe_csv"])])
     assert code == 3
     assert "no float model" in capsys.readouterr().err
+
+
+def test_csv_made_under_another_config_exits_3(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["gen", "--set", "safe_traces=200", "--firmware", "0",
+                     "--out", str(out)]) == 0
+    made = config_digest(build_config(None, {"safe_traces": "200"}))
+    ours = config_digest(build_config(None, {}))
+    capsys.readouterr()
+    safe = out / "gen" / "fw0" / "safe.csv"
+    code = cli.main(["train", "--traces", str(safe), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert made in err and ours in err
+    assert not (out / "train" / "model.alm").exists()
+
+
+@pytest.mark.parametrize("sub", ["quantize", "calibrate", "attest"])
+def test_container_made_under_another_config_exits_3(pipeline, sub, tmp_path,
+                                                     capsys):
+    argv = {"quantize": ["--model", str(pipeline["model"]),
+                         "--traces", str(pipeline["safe_csv"])],
+            "calibrate": ["--model", str(pipeline["quant"]),
+                          "--traces", str(pipeline["safe_csv"])],
+            "attest": ["--model", str(pipeline["calib"]), "--profile",
+                       str(pipeline["fw_dir"] / "profile.json")]}[sub]
+    code = cli.main([sub, "--config", str(pipeline["cfg_path"]),
+                     "--set", "seed=6", "--out", str(tmp_path), *argv])
+    assert code == 3
+    err = capsys.readouterr().err
+    made = config_digest(pipeline["cfg"])
+    ours = config_digest(load_config(str(pipeline["cfg_path"]), {"seed": 6}))
+    assert made != ours
+    assert made in err and ours in err
+    # the container is checked before the CSV, so its path is named
+    assert Path(argv[1]).name in err
 
 
 # ------------------------------------------------------------------ attest

@@ -1,5 +1,7 @@
 """Four-message handshake: honest runs, scripted attacks, transcripts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,39 @@ def test_flow_to_the_wrong_role_fails_closed(protocol_lab):
         assert (state.phase, state.fail_reason) == (hs.FAILED, hs.BAD_LAYOUT)
         assert out is None
         assert dev.ctx.counters == before
+
+
+@pytest.mark.parametrize("slot", [1, 2, 3, 4])
+def test_reflected_flow_fails_closed(protocol_lab, slot):
+    # a party's own flow k sent back to it, with the outer sender id
+    # rewritten to the peer's. One outer key serves both directions, so
+    # the tag verifies and only the structure can tell. The sender of
+    # flow k awaits flow k + 1: flows 1 and 2 fail its plaintext length,
+    # flow 3 (same length as flow 4) its plaintext sender id, before the
+    # echo check would see the wrong nonce, and flow 4 its phase, SENT4,
+    # which awaits nothing.
+    initiator, responder = protocol_lab
+    i_state, msg = hs.initiator_start(initiator, responder.id)
+    r_state = hs.responder_start(responder, initiator.id)
+    for k in range(1, slot):
+        if k % 2:
+            r_state, msg = hs.step(responder, r_state, msg)
+        else:
+            i_state, msg = hs.step(initiator, i_state, msg)
+    dev, state, peer = ((initiator, i_state, responder) if slot % 2
+                        else (responder, r_state, initiator))
+    assert msg.sender_id == dev.id
+    key = dev.outer_key(peer.id)
+    assert sc.hmac_verify(msg.m, key, msg.i_tag)
+    plain = sc.dec(msg.m, key)
+    if slot < 4:
+        assert (len(plain) == hs._PLAIN_LEN[slot + 1]) == (slot == 3)
+    before = dict(dev.ctx.counters)
+    state, out = hs.step(dev, state, dataclasses.replace(
+        msg, sender_id=peer.id))
+    assert (state.phase, state.fail_reason) == (hs.FAILED, hs.BAD_LAYOUT)
+    assert out is None
+    assert dev.ctx.counters == before
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,20 @@ def test_quant_payload_rejects_unknown_arch_code():
         _parse("quant", buf)
 
 
+@pytest.mark.parametrize("where", ["input", "layer"])
+@pytest.mark.parametrize("scale", [0.0, -0.5, float("nan"), float("inf")])
+def test_quant_payload_rejects_unusable_activation_scale(where, scale):
+    # inference divides by every activation scale
+    _, qm = _quant_model()
+    bad = quantize.ActivationQuant(scale=scale, zero_point=0)
+    if where == "input":
+        qm.input_q = bad
+    else:
+        qm.layers[0].out_q = bad
+    with pytest.raises(ContainerError, match="activation scale"):
+        model_io.parse_quant_payload(model_io.quant_payload(qm))
+
+
 # ---------------------------------------------------------------------------
 # quant payload
 

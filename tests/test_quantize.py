@@ -1,5 +1,7 @@
 """Int8 quantization: rounding, scales, integer inference, size accounting."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -249,14 +251,18 @@ def _noisy_clean(g, n, l):
     return clean + 0.05 * g.random((n, l)), clean
 
 
-@pytest.mark.parametrize("arch", ["M1", "M2", "M3"])
-def test_q_reconstruct_bytes_match_int64_reference(arch):
-    l = 32
+def _trained(arch, l=32):
     g = np.random.default_rng(7)
     model = init_model(arch, l, seed=7)
     autoenc.train(model, *_noisy_clean(g, 256, l),
                   autoenc.TrainConfig(epochs=3, batch_size=32, seed=7))
-    qm = quantize_model(model, g.random((128, l)))
+    return model, quantize_model(model, g.random((128, l)))
+
+
+@pytest.mark.parametrize("arch", ["M1", "M2", "M3"])
+def test_q_reconstruct_bytes_match_int64_reference(arch):
+    l = 32
+    _, qm = _trained(arch, l)
     x, halves = _edge_rows(qm, l, 1200, seed=8)
     assert halves.size > 0  # inputs that land exactly on half codes
     got = q_reconstruct(qm, x)
@@ -264,6 +270,25 @@ def test_q_reconstruct_bytes_match_int64_reference(arch):
     for row in (0, 1200, 1210, 1216, 1219, len(x) - 1):
         assert q_reconstruct(qm, x[row]).tobytes() \
             == _ref_q_reconstruct(qm, x[row]).tobytes()
+
+
+@pytest.mark.parametrize("arch", ["M1", "M2", "M3"])
+def test_reloaded_models_match_int64_reference(arch, tmp_path):
+    # the inference constants are built with each model, so a container
+    # reload and a pickle round trip (prepare_all's path) must carry them
+    from attestlab import model_io
+    model, qm = _trained(arch)
+    model_io.save_container(tmp_path / "m.alm", model=model, qmodel=qm)
+    reloaded = [model_io.load_container(tmp_path / "m.alm").qmodel,
+                pickle.loads(pickle.dumps(qm))]
+    x, _ = _edge_rows(qm, 32, 300, seed=9)
+    want = _ref_q_reconstruct(qm, x)
+    for other in reloaded:
+        assert other is not qm
+        assert q_reconstruct(other, x).tobytes() == want.tobytes()
+        for row in (0, 150, 305, len(x) - 1):
+            assert q_reconstruct(other, x[row]).tobytes() \
+                == want[row].tobytes()
 
 
 def test_q_reconstruct_output_has_no_negative_zero():

@@ -161,6 +161,20 @@ def test_block_context_cache_stays_bounded():
     assert sc.dec(blob, first) == b"evicted and rebuilt"
 
 
+def test_cbc_matches_library_mode_after_eviction():
+    # the cached encryptor carries its CBC chain between messages; an
+    # evicted key's chain must go with it, so that the rebuilt context
+    # starts a fresh chain and every ciphertext still equals library CBC
+    bound = sc._aes_blocks.cache_info().maxsize
+    g = random.Random(23)
+    keys = [g.randbytes(16) for _ in range(bound + 6)]
+    for key in [keys[0], keys[0], *keys, keys[0], keys[0], keys[1]]:
+        iv, pt = g.randbytes(16), g.randbytes(g.randrange(0, 70))
+        blob = sc.enc(pt, key, _FixedIv(iv))
+        assert blob == _ref_enc(pt, key, iv)
+        assert sc.dec(blob, key) == pt
+
+
 def test_enc_uses_fresh_ivs():
     rng = sc.RandomSource(2)
     a = sc.enc(b"same plaintext", KEY_A, rng)
