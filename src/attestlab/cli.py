@@ -9,8 +9,8 @@ run evalkit's stages, so their container is the detector eval scores.
 Exit codes: 0 success, 2 usage or configuration error, 3 runtime failure.
 All artifacts embed the resolved config digest and master seed, and rerunning
 a subcommand with the same inputs reproduces them byte for byte. train,
-quantize, calibrate and attest exit 3 on an input whose recorded config
-digest differs from their own.
+quantize, calibrate and attest exit 3 on an input (trace CSV, container or
+profile JSON) whose recorded config digest differs from their own.
 """
 
 from __future__ import annotations
@@ -108,14 +108,16 @@ def cmd_gen(args, cfg: ExperimentConfig) -> int:
         c = evalkit.sample_corpus(cfg, i)
         fw_dir = out / ("fw%d" % i)
         fw_dir.mkdir(parents=True, exist_ok=True)
-        trace.save_profile(fw_dir / "profile.json", c.profile)
+        trace.save_profile(fw_dir / "profile.json", c.profile,
+                           config_digest(cfg))
         meta = dict(_base_meta(cfg), firmware_index=i,
                     firmware_seed=c.firmware_seed,
                     device_seed=derive_seed(c.firmware_seed, "device", 0))
         trace.export_traces(fw_dir / "safe.csv", c.safe, meta=meta)
         for m_idx, (mp, batch) in enumerate(zip(c.mutants, c.unsafe)):
             name = "%s_%g" % (mp.mutation.kind, mp.mutation.severity)
-            trace.save_profile(fw_dir / ("%s_profile.json" % name), mp)
+            trace.save_profile(fw_dir / ("%s_profile.json" % name), mp,
+                               config_digest(cfg))
             m_meta = dict(meta, mutation=name, device_seed=derive_seed(
                 c.firmware_seed, "device", 0, "mutant", m_idx))
             trace.export_traces(fw_dir / ("%s.csv" % name), batch,
@@ -183,7 +185,10 @@ def _attest_context(args, cfg: ExperimentConfig):
     if cont.qmodel is None or cont.calibration is None:
         raise ValueError("attest needs a container with quantized model "
                          "and calibration sections")
-    profile = trace.load_profile(args.profile)
+    with open(args.profile, encoding="utf-8") as f:
+        recorded = json.load(f)
+    _check_config(recorded.get("config"), cfg, args.profile)
+    profile = trace.profile_from_dict(recorded)
     self_id = bytes.fromhex(args.self_id)
     peer_id = bytes.fromhex(args.peer_id)
     # by default the device that gen sampled, read at its spare steps
@@ -331,18 +336,17 @@ def cmd_handshake(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_eval(args, cfg: ExperimentConfig) -> int:
+    """Run the campaign, then write its reports: nothing is written when
+    it fails."""
+    res, tw = evalkit.run_campaign(cfg, args.with_twin)
     out = _outdir(args, "eval")
-    bundles = evalkit.prepare_all(cfg)
-    res = evalkit.run_experiment(cfg, bundles)
-    report = evalkit.format_experiment_report(res)
     path = out / "report.txt"
-    path.write_text(report, encoding="utf-8")
+    path.write_text(evalkit.format_experiment_report(res), encoding="utf-8")
     print("eval: %d firmware images -> %s" % (len(res.per_firmware), path))
     print("eval macro: tnr=%.4f tpr=%.4f f1_unsafe=%.4f auc=%.4f"
           % (res.macro["tnr"], res.macro["tpr"], res.macro["f1_unsafe"],
              res.macro["auc"]))
-    if args.with_twin:
-        tw = evalkit.twin_transfer(cfg, bundles[0])
+    if tw is not None:
         tw_path = out / "twin.txt"
         tw_path.write_text(evalkit.format_twin_report(tw), encoding="utf-8")
         print("eval twin: tnr=%.4f tpr=%.4f -> %s"

@@ -1,5 +1,10 @@
 """Detection metrics and end-to-end evaluation campaigns.
 
+run_campaign is the campaign `eval` runs: each firmware's pipeline is
+built, and its rows scored under every detector, in a worker process.
+prepare_firmware, run_experiment and twin_transfer are its serial
+reference, and give the same bytes in one process.
+
 Convention: the unsafe class is the positive class, and a trace is
 flagged unsafe when its reconstruction error is at or above the decision
 threshold. Rates come in complementary pairs (tpr+fnr=1, tnr+fpr=1).
@@ -8,7 +13,7 @@ threshold. Rates come in complementary pairs (tpr+fnr=1, tnr+fpr=1).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -105,11 +110,15 @@ def score(errors, labels, t_opt: float) -> MetricsReport:
 
 @dataclass
 class FirmwareBundle:
-    """Everything the pipeline produces for one firmware image."""
+    """Everything the pipeline produces for one firmware image.
+
+    `dataset` is None in the bundles run_campaign's workers send: each
+    worker keeps its firmware's features and scores them itself.
+    """
     firmware_seed: int
     profile: trace.FirmwareProfile
     mutants: list
-    dataset: trace.Dataset
+    dataset: trace.Dataset | None
     model: autoenc.AutoencoderModel
     qmodel: quantize.QuantizedModel
     calibration: threshold.CalibrationResult
@@ -156,10 +165,25 @@ def _features(cfg: ExperimentConfig, profile: trace.FirmwareProfile,
                                 cfg.data_section_len)
 
 
+# Rows per q_reconstruct call in q_errors. The default model's products
+# (256 x 128 x 8 multiply-adds) then stay at OpenBLAS's threading threshold
+# (65536 x 4), so run_campaign's workers, which score side by side, do not
+# each start BLAS threads on shared CPUs: with two BLAS threads per worker
+# on a 2-vCPU VM, scoring whole splits took 0.4-0.7 s per default
+# campaign, and these blocks 0.15-0.19 s. Rows score independently, so
+# the errors are the same bytes for any block size.
+SCORE_BLOCK_ROWS = 256
+
+
 def q_errors(qmodel: quantize.QuantizedModel, features: np.ndarray):
-    """Per-sample reconstruction error through the integer model."""
-    recon = quantize.q_reconstruct(qmodel, features)
-    return autoenc.reconstruction_error(features, recon)
+    """Per-sample reconstruction error through the integer model, for the
+    rows of a feature matrix."""
+    errors = []
+    for s in range(0, len(features), SCORE_BLOCK_ROWS):
+        f = features[s:s + SCORE_BLOCK_ROWS]
+        recon = quantize.q_reconstruct(qmodel, f)
+        errors.append(autoenc.reconstruction_error(f, recon))
+    return np.concatenate(errors or [np.zeros(0)])
 
 
 # The pipeline's stages. prepare_firmware composes them, and the CLI's
@@ -261,70 +285,6 @@ def prepare_firmware(cfg: ExperimentConfig, fw_index: int,
                           c.step_perm, cfg.safe_traces)
 
 
-def _prepare_share(cfg: ExperimentConfig, indices, conn) -> None:
-    """Worker body: send (True, bundle) per index, or (False, exception)."""
-    try:
-        for i in indices:
-            conn.send((True, prepare_firmware(cfg, i)))
-    except Exception as exc:
-        conn.send((False, exc))
-    finally:
-        conn.close()
-
-
-def prepare_all(cfg: ExperimentConfig) -> list[FirmwareBundle]:
-    """Every firmware pipeline, built in up to one process per CPU.
-
-    Each pipeline has its own seed, so the bundles equal those of
-    `prepare_firmware(cfg, i)` for i in order, whatever the number of
-    workers. With k workers, worker w builds indices w, w + k, ... and
-    sends each bundle over its own pipe; this thread receives them in
-    index order. A worker's exception is raised here, with its type and
-    message, after every worker is stopped.
-    """
-    # imported here: the module costs tens of ms, and only eval needs it
-    import multiprocessing
-
-    n = cfg.firmware_count
-    k = min(n, len(os.sched_getaffinity(0)))
-    # fork: a worker inherits the imported program instead of importing it
-    # again; the program runs no threads but OpenBLAS's, which stop at fork
-    ctx = multiprocessing.get_context("fork")
-    pipes, workers = [], []
-    try:
-        for w in range(k):
-            recv_end, send_end = ctx.Pipe(duplex=False)
-            pipes.append(recv_end)
-            with send_end:
-                p = ctx.Process(target=_prepare_share, daemon=True,
-                                args=(cfg, range(w, n, k), send_end))
-                p.start()
-            workers.append(p)
-        bundles = []
-        for i in range(n):
-            try:
-                ok, value = pipes[i % k].recv()
-            except EOFError:
-                p = workers[i % k]
-                p.join()
-                raise RuntimeError("firmware %d: its worker exited with code "
-                                   "%s" % (i, p.exitcode)) from None
-            if not ok:
-                raise value
-            bundles.append(value)
-    except BaseException:
-        # a worker blocked on a full pipe would never finish on its own
-        for p in workers:
-            p.terminate()
-        raise
-    finally:
-        for p in workers:
-            p.join()
-        for c in pipes:
-            c.close()
-    return bundles
-
-
 @dataclass
 class FirmwareResult:
     firmware_index: int
@@ -356,33 +316,44 @@ def _macro(per_fw: list[FirmwareResult]) -> dict:
     return out
 
 
-def run_experiment(cfg: ExperimentConfig,
-                   bundles: list[FirmwareBundle]) -> ExperimentResult:
-    """Cross-firmware detection campaign.
-
-    Each firmware's detector is scored on its own held-out safe traces
-    (negatives) against its own mutants plus every other firmware's
-    traces (positives): a detector should accept only its own firmware.
-    """
-    if len(bundles) < 2:
+def _need_two(count: int) -> None:
+    if count < 2:
         raise ValueError("cross-firmware evaluation needs at least two "
                          "firmware images")
+
+
+def firmware_errors(qmodels: list, j: int, ds: trace.Dataset) -> list:
+    """Errors of firmware j's rows under every int8 model i, as a list of
+    blocks per model: under its own model (i == j) test_safe then
+    test_unsafe, under every other model train, val, test_safe and
+    test_unsafe."""
+    out = []
+    for i, qm in enumerate(qmodels):
+        parts = ((ds.test_safe, ds.test_unsafe) if i == j else
+                 (ds.train, ds.val, ds.test_safe, ds.test_unsafe))
+        out.append([q_errors(qm, f) for f in parts])
+    return out
+
+
+def _assemble(cfg: ExperimentConfig, bundles: list[FirmwareBundle],
+              errors: list) -> ExperimentResult:
+    """The campaign's result from errors[j] = firmware_errors(..., j, ...).
+
+    Detector i's negatives are its own test_safe rows; its positives are
+    its own test_unsafe rows, then every split of each other firmware j
+    in index order. Rows score independently, so these blocks hold the
+    bytes that scoring one stacked matrix per detector would give.
+    """
     results = []
     for i, b in enumerate(bundles):
-        neg = q_errors(b.qmodel, b.dataset.test_safe)
-        pos_feats = [b.dataset.test_unsafe]
-        for j, other in enumerate(bundles):
-            if j != i:
-                d = other.dataset
-                pos_feats += [d.train, d.val, d.test_safe, d.test_unsafe]
-        # rows score independently, so scoring the non-empty blocks one by
-        # one gives the errors of one stacked matrix without building it
-        pos = np.concatenate([q_errors(b.qmodel, f) for f in pos_feats
-                              if len(f)])
-        errors = np.concatenate([neg, pos])
+        neg, own_unsafe = errors[i][i]
+        foreign = [e for j, blocks in enumerate(errors) if j != i
+                   for e in blocks[i]]
+        pos = np.concatenate([own_unsafe, *foreign])
         labels = np.concatenate([np.zeros(neg.size, dtype=int),
                                  np.ones(pos.size, dtype=int)])
-        metrics = score(errors, labels, b.calibration.t_opt)
+        metrics = score(np.concatenate([neg, pos]), labels,
+                        b.calibration.t_opt)
         results.append(FirmwareResult(
             firmware_index=i, calibration=b.calibration, metrics=metrics,
             size=quantize.size_report(b.model, b.qmodel)))
@@ -390,6 +361,23 @@ def run_experiment(cfg: ExperimentConfig,
                            per_firmware=results)
     res.macro = _macro(results)
     return res
+
+
+def run_experiment(cfg: ExperimentConfig,
+                   bundles: list[FirmwareBundle]) -> ExperimentResult:
+    """Cross-firmware detection campaign on bundles in hand, in this process.
+
+    Each firmware's detector is scored on its own held-out safe traces
+    (negatives) against its own mutants plus every other firmware's
+    traces (positives): a detector should accept only its own firmware.
+    This is the serial reference of run_campaign, which runs the same
+    two steps with the errors computed where the features are.
+    """
+    _need_two(len(bundles))
+    qmodels = [b.qmodel for b in bundles]
+    return _assemble(cfg, bundles, [
+        firmware_errors(qmodels, j, b.dataset)
+        for j, b in enumerate(bundles)])
 
 
 @dataclass
@@ -443,6 +431,100 @@ def twin_transfer(cfg: ExperimentConfig, bundle: FirmwareBundle) -> TwinResult:
     return TwinResult(config_digest=config_digest(cfg), seed=cfg.seed,
                       calibration=bundle.calibration, metrics=metrics,
                       n_twin_safe=neg.size, n_twin_unsafe=pos.size)
+
+
+def _campaign_share(cfg: ExperimentConfig, indices, with_twin: bool,
+                    conn) -> None:
+    """Worker body of run_campaign, in two phases.
+
+    1. Build each index's pipeline and send (True, (bundle, twin)): the
+       bundle without its dataset, and firmware 0's TwinResult when
+       with_twin, else None.
+    2. Receive every int8 model, then send (True, errors) per index, the
+       firmware_errors of the features kept from phase 1.
+
+    An exception in either phase is sent as (False, exception).
+    """
+    try:
+        datasets = []
+        for i in indices:
+            b = prepare_firmware(cfg, i)
+            twin = twin_transfer(cfg, b) if with_twin and i == 0 else None
+            datasets.append(b.dataset)
+            conn.send((True, (replace(b, dataset=None), twin)))
+        qmodels = conn.recv()
+        for i, ds in zip(indices, datasets):
+            conn.send((True, firmware_errors(qmodels, i, ds)))
+    except Exception as exc:
+        conn.send((False, exc))
+    finally:
+        conn.close()
+
+
+def run_campaign(cfg: ExperimentConfig, with_twin: bool = False):
+    """(ExperimentResult, TwinResult or None) of the whole campaign, its
+    pipelines built and scored in up to one process per CPU.
+
+    With k workers, worker w builds indices w, w + k, ... and keeps their
+    features. This thread receives every bundle (without its dataset) in
+    index order, sends the list of int8 models to every worker, then
+    receives each firmware's error blocks in index order and scores them.
+    So the parent never holds a feature matrix, and every byte equals
+    run_experiment's and twin_transfer's on `prepare_firmware(cfg, i)`
+    bundles, whatever the number of workers. Every worker has sent all
+    of its bundles before any is sent a model, so neither side waits on
+    the other. A worker's exception is raised here, with its type and
+    message, after every worker is stopped.
+    """
+    _need_two(cfg.firmware_count)
+    # imported here: the module costs tens of ms, and only eval needs it
+    import multiprocessing
+
+    n = cfg.firmware_count
+    k = min(n, len(os.sched_getaffinity(0)))
+    # fork: a worker inherits the imported program instead of importing it
+    # again; the program runs no threads but OpenBLAS's, which stop at fork
+    ctx = multiprocessing.get_context("fork")
+    conns, workers = [], []
+
+    def receive(i):
+        try:
+            ok, value = conns[i % k].recv()
+        except EOFError:
+            p = workers[i % k]
+            p.join()
+            raise RuntimeError("firmware %d: its worker exited with code %s"
+                               % (i, p.exitcode)) from None
+        if not ok:
+            raise value
+        return value
+
+    try:
+        for w in range(k):
+            here, there = ctx.Pipe()
+            conns.append(here)
+            with there:
+                p = ctx.Process(target=_campaign_share, daemon=True,
+                                args=(cfg, range(w, n, k), with_twin, there))
+                p.start()
+            workers.append(p)
+        built = [receive(i) for i in range(n)]
+        bundles = [b for b, _ in built]
+        qmodels = [b.qmodel for b in bundles]
+        for c in conns:
+            c.send(qmodels)
+        errors = [receive(i) for i in range(n)]
+    except BaseException:
+        # a worker blocked on a full pipe would never finish on its own
+        for p in workers:
+            p.terminate()
+        raise
+    finally:
+        for p in workers:
+            p.join()
+        for c in conns:
+            c.close()
+    return _assemble(cfg, bundles, errors), built[0][1]
 
 
 def format_experiment_report(res: ExperimentResult) -> str:

@@ -439,7 +439,8 @@ def profile_from_dict(d: dict) -> FirmwareProfile:
     if d.get("format_version") != PROFILE_FORMAT_VERSION:
         raise ValueError("unsupported profile format version: %r"
                          % d.get("format_version"))
-    fields = {k: v for k, v in d.items() if k != "format_version"}
+    fields = {k: v for k, v in d.items()
+              if k not in ("format_version", "config")}
     stack, mutation = d["stack"], d.get("mutation")
     fields.update(
         variables=tuple(Variable(**v) for v in d["variables"]),
@@ -449,9 +450,15 @@ def profile_from_dict(d: dict) -> FirmwareProfile:
     return FirmwareProfile(**fields)
 
 
-def save_profile(path, profile: FirmwareProfile) -> None:
+def save_profile(path, profile: FirmwareProfile,
+                 config: str | None = None) -> None:
+    """Write the profile as JSON; `config`, the digest of the run's
+    configuration, goes in a `config` key after `format_version`."""
+    d = profile_to_dict(profile)
+    if config is not None:
+        d = {"format_version": d.pop("format_version"), "config": config, **d}
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(profile_to_dict(profile), f, indent=2)
+        json.dump(d, f, indent=2)
         f.write("\n")
 
 

@@ -1,5 +1,7 @@
 """Shared fixtures: a small trained pipeline reused across test modules."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,19 @@ def tiny_cfg() -> ExperimentConfig:
 def bundle(tiny_cfg):
     """One fully trained, quantized, calibrated firmware pipeline."""
     return evalkit.prepare_firmware(tiny_cfg, 0)
+
+
+@pytest.fixture()
+def time_limit():
+    """Fail instead of hanging if a campaign worker is never stopped."""
+    def expire(signum, frame):
+        raise TimeoutError("run_campaign did not return in time")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture()

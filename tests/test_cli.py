@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,40 @@ def test_container_made_under_another_config_exits_3(pipeline, sub, tmp_path,
     assert Path(argv[1]).name in err
 
 
+def test_profile_made_under_another_config_exits_3(pipeline, tmp_path,
+                                                   capsys):
+    other = tmp_path / "other"
+    assert cli.main(["gen", "--config", str(pipeline["cfg_path"]),
+                     "--set", "n_variables=10", "--firmware", "0",
+                     "--out", str(other)]) == 0
+    profile = other / "gen" / "fw0" / "profile.json"
+    made = config_digest(load_config(str(pipeline["cfg_path"]),
+                                     {"n_variables": 10}))
+    assert json.loads(profile.read_text(encoding="utf-8"))["config"] == made
+    capsys.readouterr()
+    code = cli.main(["attest", *pipeline["common"],
+                     "--model", str(pipeline["calib"]),
+                     "--profile", str(profile)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert made in err and config_digest(pipeline["cfg"]) in err
+    assert str(profile) in err
+
+
+def test_profile_without_config_key_is_not_checked(pipeline, tmp_path,
+                                                   capsys):
+    d = json.loads((pipeline["fw_dir"] / "profile.json").read_text(
+        encoding="utf-8"))
+    assert d.pop("config") == config_digest(pipeline["cfg"])
+    bare = tmp_path / "profile.json"
+    bare.write_text(json.dumps(d), encoding="utf-8")
+    assert trace.load_profile(bare) == trace.profile_from_dict(d)
+    assert cli.main(["attest", *pipeline["common"],
+                     "--model", str(pipeline["calib"]),
+                     "--profile", str(bare)]) == 0
+    assert capsys.readouterr().out.startswith("self_verdict=")
+
+
 # ------------------------------------------------------------------ attest
 
 
@@ -410,6 +445,42 @@ def test_eval_writes_reports(pipeline, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "eval macro:" in out
     assert "eval twin:" in out
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("twin_eval_traces=7", "twin_eval_traces must be >= traces_per_mutant"),
+    ("firmware_count=1", "needs at least two firmware images"),
+])
+def test_eval_fails_early_and_writes_nothing(pipeline, setting, message,
+                                             tmp_path, capsys, monkeypatch,
+                                             time_limit):
+    if setting.startswith("firmware_count"):
+        # the count is checked before any pipeline is built
+        def never(cfg, i):
+            raise ValueError("a pipeline was built")
+        monkeypatch.setattr(evalkit, "prepare_firmware", never)
+    code = cli.main(["eval", "--config", str(pipeline["cfg_path"]),
+                     "--set", setting, "--out", str(tmp_path),
+                     "--with-twin"])
+    assert code == 3
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_eval_without_twin_runs_no_twin_code(pipeline, tmp_path, capsys,
+                                             monkeypatch, time_limit):
+    def no_twin(cfg, bundle):
+        raise ValueError("twin_transfer ran")
+
+    monkeypatch.setattr(evalkit, "twin_transfer", no_twin)
+    code = cli.main(["eval", "--config", str(pipeline["cfg_path"]),
+                     "--set", "twin_eval_traces=7", "--out", str(tmp_path)])
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "eval").iterdir()) \
+        == ["report.txt"]
+    assert "eval twin:" not in capsys.readouterr().out
+    assert multiprocessing.active_children() == []
 
 
 # --------------------------------------------------- config and exit codes

@@ -2,13 +2,14 @@
 
 import dataclasses
 import multiprocessing
+import multiprocessing.connection
 import os
-import signal
+import pickle
 
 import numpy as np
 import pytest
 
-from attestlab import autoenc, cli, evalkit, model_io, quantize, trace
+from attestlab import autoenc, cli, evalkit, quantize, trace
 from attestlab.config import config_digest
 from attestlab.seeds import derive_seed
 
@@ -189,6 +190,17 @@ def test_q_errors_rows_score_independently(arch):
     assert stacked.tobytes() == per_block.tobytes()
 
 
+@pytest.mark.parametrize("rows", [1, 7, 10_000])
+def test_q_errors_blocks_equal_one_call(monkeypatch, bundle, rows):
+    monkeypatch.setattr(evalkit, "SCORE_BLOCK_ROWS", rows)
+    feats = bundle.dataset.train
+    assert len(feats) > 7
+    want = autoenc.reconstruction_error(
+        feats, quantize.q_reconstruct(bundle.qmodel, feats))
+    assert evalkit.q_errors(bundle.qmodel, feats).tobytes() == want.tobytes()
+    assert evalkit.q_errors(bundle.qmodel, feats[:0]).shape == (0,)
+
+
 # --------------------------------------------------------- prepare_firmware
 
 
@@ -351,100 +363,186 @@ def test_experiment_report_is_deterministic(tiny_cfg, two_bundles):
     assert a == b
 
 
-# -------------------------------------------------------------- prepare_all
-
-
-def _bundle_bytes(b):
-    """Everything a bundle holds, as bytes or plain values."""
-    ds = b.dataset
-    return (b.firmware_seed, b.corpus_size, b.step_perm.tobytes(),
-            trace.profile_to_dict(b.profile),
-            [trace.profile_to_dict(m) for m in b.mutants],
-            [getattr(ds, f.name).tobytes() for f in dataclasses.fields(ds)],
-            b.calibration, model_io.float_payload(b.model),
-            model_io.quant_payload(b.qmodel), b.model.train_meta)
+# ------------------------------------------------------------- run_campaign
 
 
 def _cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-@pytest.fixture()
-def time_limit():
-    """Fail instead of hanging if a worker is never stopped."""
-    def expire(signum, frame):
-        raise TimeoutError("prepare_all did not return in time")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
+@pytest.fixture(scope="module")
+def three_cfg():
+    # three firmware on up to three CPUs: strides of 3, 2 + 1 and 1 + 1 + 1
+    return tiny_config(firmware_count=3)
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_prepare_all_equals_serial_bundles(monkeypatch, tiny_cfg,
-                                           two_bundles, cpus):
+@pytest.fixture(scope="module")
+def three_bundles(three_cfg):
+    return [evalkit.prepare_firmware(three_cfg, i) for i in range(3)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_run_campaign_equals_serial_reference(monkeypatch, three_cfg,
+                                              three_bundles, cpus,
+                                              time_limit):
     _cpus(monkeypatch, cpus)
-    got = evalkit.prepare_all(tiny_cfg)
-    assert len(got) == len(two_bundles)
-    for a, b in zip(got, two_bundles):
-        assert _bundle_bytes(a) == _bundle_bytes(b)
+    res, twin = evalkit.run_campaign(three_cfg, with_twin=True)
+    want = evalkit.run_experiment(three_cfg, three_bundles)
+    want_twin = evalkit.twin_transfer(three_cfg, three_bundles[0])
+    assert res == want and twin == want_twin
+    assert evalkit.format_experiment_report(res) \
+        == evalkit.format_experiment_report(want)
+    assert evalkit.format_twin_report(twin) \
+        == evalkit.format_twin_report(want_twin)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_campaign_without_twin_runs_no_twin_code(monkeypatch, tiny_cfg,
+                                                     two_bundles, time_limit):
+    def no_twin(cfg, bundle):
+        raise AssertionError("twin_transfer ran")
+
+    monkeypatch.setattr(evalkit, "twin_transfer", no_twin)
+    res, twin = evalkit.run_campaign(tiny_cfg)
+    assert twin is None
+    assert res == evalkit.run_experiment(tiny_cfg, two_bundles)
     assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 8, None])
-def test_prepare_all_strides_over_at_most_one_worker_per_cpu(
-        monkeypatch, cpus):
+def test_run_campaign_strides_over_at_most_one_worker_per_cpu(
+        monkeypatch, tmp_path, two_bundles, cpus, time_limit):
     cfg = tiny_config(firmware_count=5)
     if cpus is not None:
         _cpus(monkeypatch, cpus)
     mask = len(os.sched_getaffinity(0))
-    monkeypatch.setattr(evalkit, "prepare_firmware",
-                        lambda cfg, i: (i, os.getpid()))
-    got = evalkit.prepare_all(cfg)
-    assert [i for i, _ in got] == list(range(5))
-    pids = [pid for _, pid in got]
+
+    def recording(cfg, i):
+        (tmp_path / str(i)).write_text(str(os.getpid()))
+        return two_bundles[i % 2]
+
+    monkeypatch.setattr(evalkit, "prepare_firmware", recording)
+    res, _ = evalkit.run_campaign(cfg)
+    pids = [int((tmp_path / str(i)).read_text()) for i in range(5)]
     k = len(set(pids))
     assert k == min(5, mask)
     assert os.getpid() not in pids
     # worker w builds indices w, w + k, ...
     assert all(pids[i] == pids[i % k] for i in range(5))
-
-
-def _fail_first(cfg, i):
-    if i == 0:
-        raise ValueError("firmware 0 cannot be built")
-    # more than a pipe buffer, so this worker blocks in send until stopped
-    return np.zeros(1 << 20)
-
-
-def test_prepare_all_reraises_a_worker_error_and_stops_the_rest(
-        monkeypatch, tiny_cfg, time_limit):
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(evalkit, "prepare_firmware", _fail_first)
-    with pytest.raises(ValueError, match="^firmware 0 cannot be built$"):
-        evalkit.prepare_all(tiny_cfg)
+    assert res == evalkit.run_experiment(
+        cfg, [two_bundles[i % 2] for i in range(5)])
     assert multiprocessing.active_children() == []
 
 
-def test_prepare_all_reports_a_worker_that_dies(monkeypatch, tiny_cfg,
-                                                time_limit):
+def test_run_campaign_streams_large_messages_in_index_order(
+        monkeypatch, two_bundles, time_limit):
+    # every message exceeds a pipe buffer, so a worker sends its next one
+    # only once the parent has read the last; reading both phases in index
+    # order must still give each firmware's message under its own index
+    _cpus(monkeypatch, 2)
+    big = 1 << 18
+    monkeypatch.setattr(evalkit, "prepare_firmware",
+                        lambda cfg, i: dataclasses.replace(
+                            two_bundles[i % 2], step_perm=np.full(big, i)))
+    monkeypatch.setattr(evalkit, "firmware_errors",
+                        lambda qmodels, j, ds: np.full(big, j))
+    monkeypatch.setattr(evalkit, "_assemble", lambda cfg, bundles, errors: (
+        [int(b.step_perm[0]) for b in bundles],
+        [int(e[0]) for e in errors]))
+    got, _ = evalkit.run_campaign(tiny_config(firmware_count=5))
+    assert got == (list(range(5)), list(range(5)))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture()
+def fail_first(monkeypatch, two_bundles):
+    """fail_first(phase) makes firmware 0 fail in that phase, while
+    firmware 1's worker sends more than a pipe buffer and so blocks in
+    send until it is stopped."""
+    def install(phase):
+        big = dataclasses.replace(two_bundles[1],
+                                  step_perm=np.zeros(1 << 20))
+        if phase == "build":
+            def build(cfg, i):
+                if i == 0:
+                    raise ValueError("firmware 0 cannot be built")
+                return big
+            monkeypatch.setattr(evalkit, "prepare_firmware", build)
+            return "firmware 0 cannot be built"
+
+        def errors(qmodels, j, ds):
+            if j == 0:
+                raise ValueError("firmware 0 cannot be scored")
+            return [[np.zeros(1 << 20)]]
+        monkeypatch.setattr(evalkit, "prepare_firmware",
+                            lambda cfg, i: two_bundles[i % 2])
+        monkeypatch.setattr(evalkit, "firmware_errors", errors)
+        return "firmware 0 cannot be scored"
+    return install
+
+
+@pytest.mark.parametrize("phase", ["build", "score"])
+def test_run_campaign_reraises_a_worker_error_and_stops_the_rest(
+        monkeypatch, tiny_cfg, fail_first, phase, time_limit):
+    _cpus(monkeypatch, 2)
+    message = fail_first(phase)
+    with pytest.raises(ValueError, match="^%s$" % message):
+        evalkit.run_campaign(tiny_cfg)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("phase", ["build", "score"])
+def test_run_campaign_reports_a_worker_that_dies(monkeypatch, tiny_cfg,
+                                                 two_bundles, phase,
+                                                 time_limit):
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(evalkit, "prepare_firmware",
-                        lambda cfg, i: os._exit(1) if i == 1 else i)
+                        lambda cfg, i: os._exit(1) if phase == "build"
+                        and i == 1 else two_bundles[i])
+    real = evalkit.firmware_errors
+    monkeypatch.setattr(evalkit, "firmware_errors",
+                        lambda q, j, ds: os._exit(1) if j == 1
+                        else real(q, j, ds))
     with pytest.raises(RuntimeError,
                        match="^firmware 1: its worker exited with code 1$"):
-        evalkit.prepare_all(tiny_cfg)
+        evalkit.run_campaign(tiny_cfg)
     assert multiprocessing.active_children() == []
 
 
 def test_eval_exits_3_on_a_worker_error(monkeypatch, tmp_path, capsys,
-                                        time_limit):
+                                        fail_first, time_limit):
     _cpus(monkeypatch, 2)
-    monkeypatch.setattr(evalkit, "prepare_firmware", _fail_first)
-    assert cli.main(["eval", "--out", str(tmp_path)]) == 3
-    assert capsys.readouterr().err == "error: firmware 0 cannot be built\n"
+    for phase in ("build", "score"):
+        message = fail_first(phase)
+        assert cli.main(["eval", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "eval").exists()
+
+
+def test_parent_receives_no_features(monkeypatch, tiny_cfg, two_bundles,
+                                     time_limit):
+    """A guard against sending feature matrices to the parent again:
+    beyond each firmware's two models, the parent receives less than a
+    tenth of the bytes of that firmware's features."""
+    sizes = []
+
+    def counting_recv(self):
+        buf = self.recv_bytes()
+        sizes.append(len(buf))
+        return pickle.loads(buf)
+
+    monkeypatch.setattr(multiprocessing.connection.Connection, "recv",
+                        counting_recv)
+    evalkit.run_campaign(tiny_cfg, with_twin=True)
+    n = tiny_cfg.firmware_count
+    # a bundle with the twin result per firmware, then its error blocks
+    assert len(sizes) == 2 * n
+    for j, b in enumerate(two_bundles):
+        features = sum(getattr(b.dataset, f.name).nbytes
+                       for f in dataclasses.fields(b.dataset))
+        models = len(pickle.dumps(b.model)) + len(pickle.dumps(b.qmodel))
+        assert sizes[j] + sizes[n + j] - models < 0.1 * features
     assert multiprocessing.active_children() == []
 
 

@@ -42,13 +42,13 @@ ARTIFACT_DIGESTS = {
     "eval/twin.txt":
         "4182f9ae14240b308058f08888e749dae533b4d49886042927a6ab59299af75a",
     "gen/fw0/profile.json":
-        "384b04ab95ca40f0f8f75fd3aa16e1390b7bbb6043e5541f8f3afae53bb574f3",
+        "cbe0ae475a288093cab65f1a97cf2a48bd6975127c88a1d679455ae81af25cde",
     "gen/fw0/safe.csv":
         "2569314d32cbc56a54415109ff6a52bcebbb180de3190904fb24008ac727a905",
     "gen/fw0/tamper_data_1.csv":
         "bd46655d3fa2fe90faa7013e3d6b12136c627f9a87c751600153b8ef3a9f79a9",
     "gen/fw0/tamper_data_1_profile.json":
-        "636865513468a720bd03e8d6cf6835c213ab91bd68b3947a7339833448e9ce70",
+        "5c89ae531e712d88b16e752c4207abfa6203a251eb37ad98b36e797e79a89463",
     "handshake/drop.jsonl":
         "8ee1d7695a35fcbed7d9e594ecaad5ed1f8f35fa3ed37a48f84654a3a61fcde6",
     "handshake/expired_report.jsonl":

@@ -275,7 +275,7 @@ def test_q_reconstruct_bytes_match_int64_reference(arch):
 @pytest.mark.parametrize("arch", ["M1", "M2", "M3"])
 def test_reloaded_models_match_int64_reference(arch, tmp_path):
     # the inference constants are built with each model, so a container
-    # reload and a pickle round trip (prepare_all's path) must carry them
+    # reload and a pickle round trip (run_campaign's path) must carry them
     from attestlab import model_io
     model, qm = _trained(arch)
     model_io.save_container(tmp_path / "m.alm", model=model, qmodel=qm)
