@@ -185,10 +185,8 @@ def _attest_context(args, cfg: ExperimentConfig):
     if cont.qmodel is None or cont.calibration is None:
         raise ValueError("attest needs a container with quantized model "
                          "and calibration sections")
-    with open(args.profile, encoding="utf-8") as f:
-        recorded = json.load(f)
-    _check_config(recorded.get("config"), cfg, args.profile)
-    profile = trace.profile_from_dict(recorded)
+    profile, recorded = trace.load_profile(args.profile)
+    _check_config(recorded, cfg, args.profile)
     self_id = bytes.fromhex(args.self_id)
     peer_id = bytes.fromhex(args.peer_id)
     # by default the device that gen sampled, read at its spare steps

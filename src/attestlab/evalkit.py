@@ -487,14 +487,17 @@ def run_campaign(cfg: ExperimentConfig, with_twin: bool = False):
     ctx = multiprocessing.get_context("fork")
     conns, workers = [], []
 
+    def lost(i):
+        p = workers[i % k]
+        p.join()
+        return RuntimeError("firmware %d: its worker exited with code %s"
+                            % (i, p.exitcode))
+
     def receive(i):
         try:
             ok, value = conns[i % k].recv()
         except EOFError:
-            p = workers[i % k]
-            p.join()
-            raise RuntimeError("firmware %d: its worker exited with code %s"
-                               % (i, p.exitcode)) from None
+            raise lost(i) from None
         if not ok:
             raise value
         return value
@@ -511,8 +514,11 @@ def run_campaign(cfg: ExperimentConfig, with_twin: bool = False):
         built = [receive(i) for i in range(n)]
         bundles = [b for b, _ in built]
         qmodels = [b.qmodel for b in bundles]
-        for c in conns:
-            c.send(qmodels)
+        for w, c in enumerate(conns):
+            try:
+                c.send(qmodels)
+            except OSError:
+                raise lost(w) from None
         errors = [receive(i) for i in range(n)]
     except BaseException:
         # a worker blocked on a full pipe would never finish on its own

@@ -450,21 +450,22 @@ def profile_from_dict(d: dict) -> FirmwareProfile:
     return FirmwareProfile(**fields)
 
 
-def save_profile(path, profile: FirmwareProfile,
-                 config: str | None = None) -> None:
+def save_profile(path, profile: FirmwareProfile, config: str) -> None:
     """Write the profile as JSON; `config`, the digest of the run's
     configuration, goes in a `config` key after `format_version`."""
     d = profile_to_dict(profile)
-    if config is not None:
-        d = {"format_version": d.pop("format_version"), "config": config, **d}
+    d = {"format_version": d.pop("format_version"), "config": config, **d}
     with open(path, "w", encoding="utf-8") as f:
         json.dump(d, f, indent=2)
         f.write("\n")
 
 
-def load_profile(path) -> FirmwareProfile:
+def load_profile(path) -> tuple[FirmwareProfile, str | None]:
+    """The profile in a JSON file and the config digest recorded with it,
+    None for a profile written without one."""
     with open(path, encoding="utf-8") as f:
-        return profile_from_dict(json.load(f))
+        d = json.load(f)
+    return profile_from_dict(d), d.get("config")
 
 
 def export_traces(path, batch: TraceBatch, meta: dict | None = None):

@@ -77,7 +77,8 @@ def pipeline(tmp_path_factory):
 
 def test_gen_writes_profile_and_corpora(pipeline):
     fw_dir = pipeline["fw_dir"]
-    profile = trace.load_profile(str(fw_dir / "profile.json"))
+    profile, made = trace.load_profile(str(fw_dir / "profile.json"))
+    assert made == config_digest(pipeline["cfg"])
     assert profile.data_section_len == 256
     traces = trace.import_traces(str(pipeline["safe_csv"]))
     assert len(traces) == pipeline["cfg"].safe_traces
@@ -290,7 +291,7 @@ def test_profile_without_config_key_is_not_checked(pipeline, tmp_path,
     assert d.pop("config") == config_digest(pipeline["cfg"])
     bare = tmp_path / "profile.json"
     bare.write_text(json.dumps(d), encoding="utf-8")
-    assert trace.load_profile(bare) == trace.profile_from_dict(d)
+    assert trace.load_profile(bare) == (trace.profile_from_dict(d), None)
     assert cli.main(["attest", *pipeline["common"],
                      "--model", str(pipeline["calib"]),
                      "--profile", str(bare)]) == 0

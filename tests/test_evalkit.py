@@ -5,6 +5,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -503,6 +504,39 @@ def test_run_campaign_reports_a_worker_that_dies(monkeypatch, tiny_cfg,
     monkeypatch.setattr(evalkit, "firmware_errors",
                         lambda q, j, ds: os._exit(1) if j == 1
                         else real(q, j, ds))
+    with pytest.raises(RuntimeError,
+                       match="^firmware 1: its worker exited with code 1$"):
+        evalkit.run_campaign(tiny_cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_campaign_reports_a_worker_that_dies_before_the_models(
+        monkeypatch, tiny_cfg, two_bundles, time_limit):
+    # firmware 1's worker exits once it has sent its bundle, and the parent
+    # sends the models only after that, so its send finds the pipe broken
+    _cpus(monkeypatch, 2)
+    parent, built = os.getpid(), []
+    conn = multiprocessing.connection.Connection
+    recv, send = conn.recv, conn.send
+
+    def build(cfg, i):
+        built.append(i)
+        return two_bundles[i]
+
+    def dying_recv(self):
+        if os.getpid() != parent and 1 in built:
+            os._exit(1)
+        return recv(self)
+
+    def late_send(self, obj):
+        if os.getpid() == parent:
+            while len(multiprocessing.active_children()) == 2:
+                time.sleep(0.01)
+        send(self, obj)
+
+    monkeypatch.setattr(evalkit, "prepare_firmware", build)
+    monkeypatch.setattr(conn, "recv", dying_recv)
+    monkeypatch.setattr(conn, "send", late_send)
     with pytest.raises(RuntimeError,
                        match="^firmware 1: its worker exited with code 1$"):
         evalkit.run_campaign(tiny_cfg)

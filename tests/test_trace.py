@@ -37,8 +37,8 @@ def test_generate_profile_deterministic_and_serializable(tmp_path):
     b = _profile()
     assert a == b
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    trace.save_profile(p1, a)
-    trace.save_profile(p2, b)
+    trace.save_profile(p1, a, "digest")
+    trace.save_profile(p2, b, "digest")
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -586,8 +586,8 @@ def test_build_dataset_validation():
 def test_profile_roundtrip(tmp_path):
     prof = trace.mutate_profile(_profile(), "data_injection", 0.5, 8)
     path = tmp_path / "p.json"
-    trace.save_profile(path, prof)
-    assert trace.load_profile(path) == prof
+    trace.save_profile(path, prof, "digest")
+    assert trace.load_profile(path) == (prof, "digest")
 
 
 def test_profile_rejects_unknown_format_version():
