@@ -95,6 +95,10 @@ class ExperimentConfig:
                 raise ValueError("severities must be in (0, 1]")
         if self.safe_traces < 8:
             raise ValueError("safe_traces must be at least 8")
+        if self.traces_per_mutant > self.safe_traces:
+            raise ValueError("traces_per_mutant must not exceed safe_traces: "
+                             "each mutant's steps are drawn without "
+                             "replacement from the safe steps")
 
 
 def _parse_value(field: dataclasses.Field, raw: str):

@@ -247,7 +247,11 @@ def split_corpus(cfg: ExperimentConfig, fw_seed: int,
 
 def train_detector(cfg: ExperimentConfig, fw_seed: int,
                    ds: trace.Dataset) -> autoenc.AutoencoderModel:
-    """Firmware-seeded init, then training on noisy copies of ds.train."""
+    """Firmware-seeded init, training on noisy copies of ds.train, then
+    each parameter rounded to float32 in place: the model is the one the
+    container's float section stores, so every path quantizes the same
+    one. train_meta.final_train_mse keeps autoenc.train's unrounded value.
+    """
     model = autoenc.init_model(cfg.arch, cfg.feature_dim,
                                seed=derive_seed(fw_seed, "init"),
                                dropout_rate=cfg.dropout)
@@ -258,6 +262,9 @@ def train_detector(cfg: ExperimentConfig, fw_seed: int,
         ds.train, cfg.noise_factor,
         derive_seed(derive_seed(fw_seed, "dataset"), "noise"))
     autoenc.train(model, noisy, ds.train, tc)
+    for layer in model.layers:
+        for p in layer.params().values():
+            p[...] = p.astype(np.float32)
     return model
 
 

@@ -59,8 +59,7 @@ def _tnr(errors: np.ndarray, t: float) -> float:
 
 
 def binary_search_threshold(val_errors, tnr_target: float,
-                            tol: float = TNR_TOLERANCE,
-                            max_iter: int = MAX_ITERATIONS):
+                            tol: float = TNR_TOLERANCE):
     """Find T with validation TNR within tol of the target.
 
     Bisects [0, 2 * max(errors)] keeping TNR(lo) < target <= TNR(hi) and
@@ -83,7 +82,7 @@ def binary_search_threshold(val_errors, tnr_target: float,
     lo = 0.0
     hi_tnr = _tnr(errors, hi)
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITERATIONS):
         if 0.0 <= hi_tnr - tnr_target < tol:
             return float(hi), hi_tnr, True, iterations
         iterations += 1
@@ -123,14 +122,13 @@ class CalibrationResult:
     iterations: int
 
 
-def calibrate(val_errors, tol: float = TNR_TOLERANCE) -> CalibrationResult:
+def calibrate(val_errors) -> CalibrationResult:
     """Gap ratio -> TNR target -> threshold search, as one record."""
     errors = _check_errors(val_errors, 20)
     gamma = gap_ratio(errors)
     p95, p99 = np.percentile(errors, [95.0, 99.0])
     target = select_tnr_target(gamma)
-    t_opt, achieved, exact, iters = binary_search_threshold(errors, target,
-                                                            tol=tol)
+    t_opt, achieved, exact, iters = binary_search_threshold(errors, target)
     return CalibrationResult(gamma=float(gamma), p95=float(p95),
                              p99=float(p99), tnr_target=target,
                              t_opt=float(t_opt), achieved_tnr=float(achieved),

@@ -22,6 +22,10 @@ import numpy as np
 from .seeds import derive_seed, rng
 
 VARIABLE_KINDS = ("constant", "counter", "random_walk", "flag")
+# apportioned over VARIABLE_KINDS; constants dominate real data sections,
+# and keeping dynamic variables scarce keeps safe error distributions tight
+# enough for stable threshold transfer
+KIND_WEIGHTS = (0.60, 0.10, 0.10, 0.20)
 MUTATION_KINDS = ("tamper_data", "tamper_function", "tamper_control_flow",
                   "data_injection")
 LABELS = ("safe", "unsafe")
@@ -63,10 +67,6 @@ class LayoutSpec:
     frame_size_min: int = 24
     frame_size_max: int = 64
     fill_fraction: float = 0.5
-    # apportioned over VARIABLE_KINDS; constants dominate real data
-    # sections, and keeping dynamic variables scarce keeps safe error
-    # distributions tight enough for stable threshold transfer
-    kind_weights: tuple[float, ...] = (0.60, 0.10, 0.10, 0.20)
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,8 @@ def _place_variables(generator: np.random.Generator, kinds_widths: list,
     return variables
 
 
-def generate_profile(firmware_seed: int, spec: LayoutSpec = LayoutSpec(),
-                     firmware_id: str | None = None) -> FirmwareProfile:
+def generate_profile(firmware_seed: int,
+                     spec: LayoutSpec = LayoutSpec()) -> FirmwareProfile:
     """Deterministically derive a firmware profile from its seed."""
     if spec.data_section_len < 4 or spec.data_section_len % 4 != 0:
         raise ValueError("data_section_len must be a positive multiple of 4")
@@ -158,7 +158,7 @@ def generate_profile(firmware_seed: int, spec: LayoutSpec = LayoutSpec(),
         raise ValueError("fill_fraction must be in (0, 0.6] to keep twin "
                          "stacks distinguishable")
     g = rng(firmware_seed, "profile")
-    counts = _kind_quota(spec.kind_weights, spec.n_variables)
+    counts = _kind_quota(KIND_WEIGHTS, spec.n_variables)
     kinds = [k for k, c in zip(VARIABLE_KINDS, counts) for _ in range(c)]
     g.shuffle(kinds)
     kinds_widths = []
@@ -169,7 +169,7 @@ def generate_profile(firmware_seed: int, spec: LayoutSpec = LayoutSpec(),
     sizes = tuple(int(g.integers(spec.frame_size_min, spec.frame_size_max + 1))
                   for _ in range(spec.frame_count))
     stack = StackPattern(frame_sizes=sizes, fill_fraction=spec.fill_fraction)
-    fid = firmware_id or "fw%016x" % (firmware_seed & (2 ** 64 - 1))
+    fid = "fw%016x" % (firmware_seed & (2 ** 64 - 1))
     return FirmwareProfile(firmware_id=fid, firmware_seed=firmware_seed,
                            data_section_len=spec.data_section_len,
                            variables=tuple(variables), stack=stack)
@@ -217,7 +217,7 @@ def mutate_profile(base: FirmwareProfile, kind: str, severity: float,
     if kind == "tamper_function":
         ops = max(1, math.ceil(severity * len(base.variables) / 2))
         kinds_widths = [(v.kind, v.width, v.init_seed) for v in base.variables]
-        weights = np.asarray(LayoutSpec().kind_weights, dtype=float)
+        weights = np.asarray(KIND_WEIGHTS, dtype=float)
         weights = weights / weights.sum()
         for _ in range(ops):
             if len(kinds_widths) > 2 and g.random() < 0.5:

@@ -434,7 +434,7 @@ def test_bench_provisions_like_the_cli(tiny_cfg, monkeypatch):
 # -------------------------------------------------------------------- eval
 
 
-def test_eval_writes_reports(pipeline, tmp_path, capsys):
+def test_eval_writes_reports(pipeline, tmp_path, capsys, monkeypatch):
     code = cli.main(["eval", "--config", str(pipeline["cfg_path"]),
                      "--out", str(tmp_path), "--with-twin"])
     assert code == 0
@@ -446,6 +446,16 @@ def test_eval_writes_reports(pipeline, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "eval macro:" in out
     assert "eval twin:" in out
+    # the bench reads both reports with its own parsers, and its campaign
+    # run fails if they raise or miss a column it checks
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    import checks
+    rows, macro = checks.parse_eval_report(report)
+    assert len(rows) == pipeline["cfg"].firmware_count
+    assert all(set(checks._ROW_DECIMALS) <= set(row) for row in rows)
+    assert set(checks._MACRO_OF.values()) <= set(macro)
+    twin_kv = checks.parse_kv_report(twin)
+    assert all(0.0 <= float(twin_kv[k]) <= 1.0 for k in ("tnr", "tpr"))
 
 
 @pytest.mark.parametrize("setting, message", [
@@ -493,6 +503,8 @@ def test_eval_without_twin_runs_no_twin_code(pipeline, tmp_path, capsys,
     ["gen", "--set", "seed"],
     ["gen", "--set", "noise_factor=-1"],
     ["gen", "--config", "/nonexistent/config.cfg"],
+    ["gen", "--set", "safe_traces=40"],
+    ["eval", "--set", "safe_traces=40"],
 ])
 def test_config_errors_exit_2(argv, tmp_path, capsys):
     assert cli.main([*argv, "--out", str(tmp_path)]) == 2

@@ -112,11 +112,21 @@ def test_load_config(tmp_path):
     ("expiry_ms", 0),
     ("sessions", 0),
     ("twin_eval_traces", 0),
+    ("safe_traces", 40),
 ])
 def test_validate_rejects(field, value):
     cfg = dataclasses.replace(ExperimentConfig(), **{field: value})
     with pytest.raises(ValueError):
         cfg.validate()
+
+
+def test_validate_names_both_keys_of_mutant_draw():
+    # each mutant draws traces_per_mutant of the safe_traces steps
+    cfg = dataclasses.replace(ExperimentConfig(), safe_traces=40,
+                              traces_per_mutant=41)
+    with pytest.raises(ValueError, match="traces_per_mutant.*safe_traces"):
+        cfg.validate()
+    dataclasses.replace(cfg, traces_per_mutant=40).validate()
 
 
 def test_validate_m3_needs_width_multiple_of_four():

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from attestlab import autoenc, cli, evalkit, quantize, trace
+from attestlab import autoenc, cli, evalkit, model_io, quantize, trace
 from attestlab.config import config_digest
 from attestlab.seeds import derive_seed
 
@@ -277,6 +277,19 @@ def test_prepare_firmware_is_deterministic(bundle, tiny_cfg):
     assert np.array_equal(again.qmodel.layers[0].wq,
                           bundle.qmodel.layers[0].wq)
     assert again.profile == bundle.profile
+
+
+def test_trained_detector_is_the_model_the_container_stores(bundle):
+    # train_detector rounds every parameter to f32, so the float payload
+    # reloads to the very model that was quantized
+    loaded = model_io.parse_float_payload(model_io.float_payload(bundle.model))
+    for la, lb in zip(loaded.layers, bundle.model.layers):
+        for name, p in lb.params().items():
+            assert p.dtype == np.float64
+            assert la.params()[name].tobytes() == p.tobytes()
+    assert model_io.quant_payload(
+        quantize.quantize_model(loaded, bundle.dataset.train)) \
+        == model_io.quant_payload(bundle.qmodel)
 
 
 def test_prepare_firmware_indices_give_distinct_firmware(bundle, tiny_cfg):

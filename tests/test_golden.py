@@ -36,7 +36,7 @@ sessions = 2
 
 ARTIFACT_DIGESTS = {
     "calibrate/model-calibrated.alm":
-        "d7c61ab6d129554903eb093425edc60dc08d8e802a1557753b24ce40b3a033a0",
+        "e92da923c18934aca1fb308550b2e30ab0b87beb317a8d1529f2223e8743f36f",
     "eval/report.txt":
         "e8653490d05a9d140d34053f810be6943d616b9e7b227a4a5b2ecd68253c0c92",
     "eval/twin.txt":

@@ -95,6 +95,17 @@ def test_initiator_start_without_keys_fails_closed(protocol_lab):
     assert msg is None
 
 
+def test_responder_toward_unkeyed_peer_fails_closed(protocol_lab):
+    initiator, responder = protocol_lab
+    _, m1 = hs.initiator_start(initiator, responder.id)
+    r_state = hs.responder_start(responder, IMPOSTOR_ID)
+    r_state, out = hs.step(responder, r_state, m1)
+    assert r_state.phase == hs.FAILED
+    assert r_state.fail_reason == hs.BAD_HMAC
+    assert out is None
+    assert responder.ctx.counters["inference"] == 0
+
+
 def test_unexpected_flow_order_fails_closed(protocol_lab):
     initiator, responder = protocol_lab
     i_state, m1 = hs.initiator_start(initiator, responder.id)

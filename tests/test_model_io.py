@@ -237,38 +237,17 @@ def _sections(buf: bytes) -> list:
     return out
 
 
-def test_container_keeps_float_parameters_at_full_precision():
-    # the float section holds f32 casts; the full-precision section gives
-    # the reloaded model the trained values, so it quantizes as they do
+def test_container_refuses_section_5():
+    # earlier containers held the float parameters at f8 under tag 5
     model = _float_model(trained=True)
-    calib = np.random.default_rng(1).random((32, 16))
-    loaded = model_io.parse_container(
-        model_io.container_bytes(model=model)).model
-    for la, lb in zip(loaded.layers, model.layers):
-        for name, p in lb.params().items():
-            assert la.params()[name].tobytes() == p.tobytes()
-    qmodel = quantize.quantize_model(loaded, calib)
-    assert model_io.quant_payload(qmodel) \
-        == model_io.quant_payload(quantize.quantize_model(model, calib))
-    # once quantized, the float model travels as its f32 casts only
-    both = model_io.container_bytes(model=loaded, qmodel=qmodel)
-    assert [s[0] for s in _sections(both)] == [model_io.SEC_FLOAT,
-                                               model_io.SEC_QUANT]
-
-
-def test_container_rejects_full_precision_section_of_another_model():
-    buf = model_io.container_bytes(model=_float_model(trained=True))
-    mine = _sections(buf)
-    theirs = _sections(model_io.container_bytes(
-        model=init_model("M1", 16, seed=4)))
-    assert [s[0] for s in mine] == [model_io.SEC_FLOAT, model_io.SEC_FLOAT64]
-    spliced = buf[:8] + mine[0] + theirs[1]
-    with pytest.raises(ContainerError, match="full-precision"):
-        model_io.parse_container(spliced)
-    orphan = buf[:4] + struct.pack("<HH", model_io.FORMAT_VERSION, 1) \
-        + mine[1]
+    (float_section,) = _sections(model_io.container_bytes(model=model))
+    f8 = b"".join(np.ascontiguousarray(p, dtype="<f8").tobytes()
+                  for layer in model.layers for p in layer.params().values())
+    spliced = model_io.MAGIC \
+        + struct.pack("<HH", model_io.FORMAT_VERSION, 2) \
+        + float_section + struct.pack("<BQ", 5, len(f8)) + f8
     with pytest.raises(ContainerError, match="tag 5"):
-        model_io.parse_container(orphan)
+        model_io.parse_container(spliced)
 
 
 def test_container_rejects_quant_section_of_another_model():
